@@ -614,10 +614,13 @@ fusedReport(const std::string &json)
  * codes repeat across columns of a 16-channel block — the structure
  * groupSparseRows buckets. Prints the bucket histogram (bucket count,
  * mean/max rows per bucket, fallback fraction) and times fused dense vs
- * fused sparse with the multi-row path off (single-row kernel, PR3
- * behavior) and on. With MVQ_BENCH_GATE_MIN_SPEEDUP set, returns false —
- * loudly — when the avx2 multi-row sparse-vs-dense speedup regresses
- * below the threshold (the CI perf gate).
+ * fused sparse through the single-row kernel (the SparseRowMatrix
+ * overload, PR3 behavior) and the multi-row grouped operand. Returns
+ * false — loudly — when a tile-free grouped operand stops reproducing
+ * the single-row path bit-for-bit, when the multi-row output drifts past
+ * 1e-4 of gemmSparseAReference, or, with MVQ_BENCH_GATE_MIN_SPEEDUP set,
+ * when the avx2 multi-row sparse-vs-dense speedup regresses below the
+ * threshold (the CI perf gate).
  */
 bool
 multiRowReport(const std::string &json)
@@ -656,6 +659,9 @@ multiRowReport(const std::string &json)
     const Tensor a = w4m.reshaped(Shape({m, k}));
     const SparseRowMatrix sp = sparsifyRows(a);
     const GroupedSparseMatrix grp = groupSparseRows(sp, 16);
+    // Nothing tiles with min_cols this high: the grouped entry point must
+    // forward to the single-row path.
+    const GroupedSparseMatrix tile_free = groupSparseRows(sp, 16, 1 << 20);
 
     // Bucket histogram: tiles sharing a column pattern (col_off) are one
     // bucket; rows per bucket = how many A rows one B-panel load feeds.
@@ -693,6 +699,9 @@ multiRowReport(const std::string &json)
 
     const Im2colB b{x.data(), g};
     Tensor c(Shape({m, n}));
+    // The ISA-independent oracle for the multi-row output.
+    Tensor c_ref(Shape({m, n}));
+    gemmSparseAReference(sp, im2col(x, 0, g), c_ref);
 
     const double gate = env::real("MVQ_BENCH_GATE_MIN_SPEEDUP", 0.0);
     bool ok = true;
@@ -712,28 +721,41 @@ multiRowReport(const std::string &json)
                 gemmIm2colRaw(m, 1.0f, a.data(), k, b, 0.0f, c.data(), n);
             },
             reps);
-        setSparseMultiRowEnabled(false);
         const double t_single = secondsOf(
-            [&] { gemmSparseAIm2col(grp, b, 1.0f, 0.0f, c.data(), n); },
+            [&] { gemmSparseAIm2col(sp, b, 1.0f, 0.0f, c.data(), n); },
             reps);
-        setSparseMultiRowEnabled(true);
         const double t_multi = secondsOf(
             [&] { gemmSparseAIm2col(grp, b, 1.0f, 0.0f, c.data(), n); },
             reps);
 
-        // Knob-off contract: the grouped operand with MVQ_SPARSE_MULTIROW
-        // off must reproduce the plain single-row path bit-for-bit (it
-        // forwards to the same entry point on the embedded operand).
+        // Forwarding contract: a tile-free grouped operand runs the
+        // single-row entry point on its embedded operand, bit-for-bit.
         Tensor c_plain(Shape({m, n}));
-        Tensor c_knob_off(Shape({m, n}));
+        Tensor c_tile_free(Shape({m, n}));
         gemmSparseAIm2col(sp, b, 1.0f, 0.0f, c_plain.data(), n);
-        setSparseMultiRowEnabled(false);
-        gemmSparseAIm2col(grp, b, 1.0f, 0.0f, c_knob_off.data(), n);
-        setSparseMultiRowEnabled(true);
+        gemmSparseAIm2col(tile_free, b, 1.0f, 0.0f, c_tile_free.data(), n);
         const bool bit_identical =
-            std::memcmp(c_plain.data(), c_knob_off.data(),
+            std::memcmp(c_plain.data(), c_tile_free.data(),
                         static_cast<std::size_t>(m * n) * sizeof(float))
             == 0;
+        // Parity contract: the multi-row output (left in c by the last
+        // timed run) stays within 1e-4 of the reference gemm, relative to
+        // each output row's scale. The lognormal channel scales make
+        // some outputs near-cancelling sums of large terms, whose
+        // element-relative error measures summation order, not the
+        // kernel (the single-row path shows the same ~1e-3 there).
+        float worst = 0.0f;
+        for (std::int64_t i = 0; i < m; ++i) {
+            const float *ref_row = c_ref.data() + i * n;
+            const float *got_row = c.data() + i * n;
+            float scale = 1.0f;
+            for (std::int64_t j = 0; j < n; ++j)
+                scale = std::max(scale, std::fabs(ref_row[j]));
+            for (std::int64_t j = 0; j < n; ++j)
+                worst = std::max(worst,
+                                 std::fabs(got_row[j] - ref_row[j]) / scale);
+        }
+        const bool multi_close = worst <= 1e-4f;
 
         const double single_vs_dense = t_dense / t_single;
         const double multi_vs_dense = t_dense / t_multi;
@@ -743,8 +765,10 @@ multiRowReport(const std::string &json)
                   << " ms (" << f2(single_vs_dense) << "x), multi-row "
                   << f2(t_multi * 1e3) << " ms (" << f2(multi_vs_dense)
                   << "x vs dense, " << f2(multi_vs_single)
-                  << "x vs single-row); knob-off bit-identical: "
-                  << (bit_identical ? "yes" : "NO") << "\n";
+                  << "x vs single-row); tile-free bit-identical: "
+                  << (bit_identical ? "yes" : "NO")
+                  << ", multi-row vs reference max rel err " << worst
+                  << "\n";
         const std::string name = "conv_fused_416_multirow_" + tag;
         appendBenchRecord(json, name, "dense_fused_seconds", t_dense);
         appendBenchRecord(json, name, "singlerow_seconds", t_single);
@@ -755,13 +779,21 @@ multiRowReport(const std::string &json)
                           multi_vs_dense);
         appendBenchRecord(json, name, "multirow_vs_singlerow",
                           multi_vs_single);
-        appendBenchRecord(json, name, "knob_off_bit_identical",
+        appendBenchRecord(json, name, "tile_free_bit_identical",
                           bit_identical ? 1.0 : 0.0);
+        appendBenchRecord(json, name, "multirow_max_rel_err", worst);
 
         if (!bit_identical) {
-            std::cerr << "\nFAIL: MVQ_SPARSE_MULTIROW=0 on " << tag
+            std::cerr << "\nFAIL: a tile-free grouped operand on " << tag
                       << " does not reproduce the single-row path "
                          "bit-identically.\n\n";
+            ok = false;
+        }
+        if (!multi_close) {
+            std::cerr << "\nFAIL: multi-row output on " << tag
+                      << " is " << worst
+                      << " (relative) from gemmSparseAReference, past "
+                         "the 1e-4 bound.\n\n";
             ok = false;
         }
         if (gate > 0.0 && isa == Isa::Avx2 && multi_vs_dense < gate) {

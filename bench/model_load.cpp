@@ -8,7 +8,8 @@
  * operands for every layer:
  *
  *   stream: read file -> bit-unpack every symbol -> reconstruct ->
- *           packGroupedRows per layer
+ *           convert to an in-memory image (packGroupedRows per layer)
+ *           -> borrow, repacking layers whose conv groups are not 1
  *   mvqi:   mmap -> structural validation -> borrow + O(nnz) semantic
  *           validation (no decode, no packing)
  *

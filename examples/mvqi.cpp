@@ -24,7 +24,6 @@
 #include <string>
 
 #include "common/logging.hpp"
-#include "core/io/mmap_artifact.hpp"
 #include "core/io/model_artifact.hpp"
 
 namespace {
@@ -54,9 +53,7 @@ describeLayer(const ModelArtifact &art, std::int64_t i)
               << cl.cfg.pattern.m << " ("
               << core::groupingName(cl.cfg.grouping) << ", codebook "
               << cl.codebook_id << ", ng=" << cl.ng() << ")";
-    if (const std::int64_t baked = art.bakedGroups(i); baked != 0)
-        std::cout << "  [pre-packed, groups=" << baked << "]";
-    std::cout << "\n";
+    std::cout << "  [pre-packed, groups=" << art.bakedGroups(i) << "]\n";
 }
 
 int
@@ -79,10 +76,9 @@ cmdInfo(const std::string &path)
     }
     for (std::int64_t i = 0; i < art->layerCount(); ++i)
         describeLayer(*art, i);
-    if (const auto *mm = dynamic_cast<const MmapArtifact *>(art.get()))
-        std::cout << "  backing: "
-                  << (mm->mapped() ? "mmap" : "aligned heap copy")
-                  << ", MVQI v" << mm->view().header().version << "\n";
+    std::cout << "  backing: "
+              << (art->mapped() ? "mmap" : "aligned heap copy")
+              << ", MVQI v" << art->view().header().version << "\n";
     return 0;
 }
 
@@ -142,8 +138,8 @@ cmdVerify(const std::string &path)
     const auto art = openArtifact(path);
     std::int64_t nnz = 0;
     for (std::int64_t i = 0; i < art->layerCount(); ++i) {
-        // packedOperands runs the full O(nnz) semantic validation on the
-        // MVQI path (validateGroupedOperand over the borrowed views).
+        // packedOperands runs the full O(nnz) semantic validation
+        // (validateGroupedOperand over the borrowed views).
         const SharedOperands ops = art->packedOperands(i);
         for (const GroupedSparseMatrix &g : *ops)
             nnz += g.rows.nnz();

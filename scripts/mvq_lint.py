@@ -10,8 +10,9 @@ compiler nor clang-tidy sees them):
      src/common/simd_neon.cpp. Everything else must go through the
      dispatch table in simd_dispatch.hpp.
   2. env-knobs   — every quoted "MVQ_*" literal must be registered in
-     src/common/env.cpp's kKnobs table, and every registered knob must
-     have a row in README.md's knob table.
+     src/common/env.cpp's kKnobs table, every registered knob must
+     have a row in README.md's knob table, and every row of that table
+     must name a registered knob (a retired knob leaves no stale row).
   3. dispatch    — every function-pointer slot declared in the Kernels
      struct (simd_dispatch.hpp) must be populated in all three ISA
      tables (kScalarKernels, kAvx2Kernels, kNeonKernels); nullptr slots
@@ -150,6 +151,17 @@ def check_knob_literals(path: str, text: str,
     return errors
 
 
+def check_readme_knobs(readme: str, registered: set[str]) -> list[str]:
+    rows = README_ROW_RE.findall(readme)
+    errors = [f"README.md: registered env knob '{knob}' has no row in "
+              "the environment-variable table"
+              for knob in sorted(registered - set(rows))]
+    errors += [f"README.md: knob table row '{knob}' names no knob "
+               f"registered in {ENV_TU} (kKnobs); drop the stale row"
+               for knob in sorted(set(rows) - registered)]
+    return errors
+
+
 def check_dispatch_table(path: str, text: str, table: str,
                          slots: list[str]) -> list[str]:
     m = re.search(r"constexpr\s+Kernels\s+" + table
@@ -244,10 +256,8 @@ def lint_repo(root: Path) -> list[str]:
         errors.append(f"{DISPATCH_HPP}: could not parse Kernels "
                       "function-pointer slots (linter regex drifted?)")
 
-    documented = set(README_ROW_RE.findall(read_rel(root, "README.md")))
-    for knob in sorted(registered - documented):
-        errors.append(f"README.md: registered env knob '{knob}' has no "
-                      "row in the environment-variable table")
+    errors.extend(check_readme_knobs(read_rel(root, "README.md"),
+                                     registered))
 
     for rel in code_files(files):
         text = strip_comments(read_rel(root, rel))
@@ -315,6 +325,21 @@ def selftest(root: Path) -> int:
              + check_header_guard("src/tensor/good.hpp", good))
     if noise:
         failures.append("clean snippet falsely flagged: " + noise[0])
+
+    # README knob table, both directions: a table with one row per
+    # registered knob is clean; one more row naming a retired knob is
+    # flagged, by name.
+    clean_table = "".join(f"| `{k}=1` | doc |\n" for k in sorted(registered))
+    noise = check_readme_knobs(clean_table, registered)
+    if noise:
+        failures.append("clean knob table falsely flagged: " + noise[0])
+    stale = check_readme_knobs(
+        clean_table + "| `MVQ_RETIRED_KNOB=0` | gone |\n", registered)
+    if len(stale) != 1 or "MVQ_RETIRED_KNOB" not in stale[0]:
+        failures.append("stale knob-table row not flagged: "
+                        + (stale[0] if stale else "no errors"))
+    else:
+        print(f"ok: stale README knob row -> {stale[0]}")
 
     if failures:
         print("\n".join(failures))

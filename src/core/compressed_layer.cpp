@@ -1,6 +1,7 @@
 #include "core/compressed_layer.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hpp"
 #include "common/math_util.hpp"
@@ -174,6 +175,46 @@ CompressedModel::storage() const
     for (const auto &cb : codebooks)
         total.codebook_bits += cb.storageBits();
     return total;
+}
+
+void
+CompressedModel::validate(const std::string &what) const
+{
+    for (const CompressedLayer &cl : layers) {
+        fatalIf(cl.codebook_id < 0
+                    || static_cast<std::size_t>(cl.codebook_id)
+                        >= codebooks.size(),
+                what, ": layer '", cl.name, "' references codebook ",
+                cl.codebook_id, " of ", codebooks.size());
+        const std::int64_t k =
+            codebooks[static_cast<std::size_t>(cl.codebook_id)].k();
+        for (std::size_t j = 0; j < cl.assignments.size(); ++j)
+            fatalIf(cl.assignments[j] < 0 || cl.assignments[j] >= k,
+                    what, ": layer '", cl.name, "' assignment ", j, " = ",
+                    cl.assignments[j], " is out of range for its ", k,
+                    "-entry codebook");
+
+        // Untrusted dims: reject a kernel whose element count overflows
+        // before groupCount multiplies them out.
+        const Shape &w4 = cl.weight_shape;
+        std::int64_t numel = 1;
+        for (int j = 0; j < w4.rank(); ++j) {
+            fatalIf(numel > std::numeric_limits<std::int64_t>::max()
+                                / w4.dim(j),
+                    what, ": layer '", cl.name, "' kernel shape ",
+                    w4.str(), " overflows");
+            numel *= w4.dim(j);
+        }
+        std::int64_t expect = 0;
+        try {
+            expect = groupCount(w4, cl.cfg.d, cl.cfg.grouping);
+        } catch (const FatalError &e) {
+            fatal(what, ": layer '", cl.name, "': ", e.what());
+        }
+        fatalIf(cl.ng() != expect, what, ": layer '", cl.name, "' has ",
+                cl.ng(), " subvectors but its ", w4.str(), " kernel at d=",
+                cl.cfg.d, " implies ", expect);
+    }
 }
 
 Tensor

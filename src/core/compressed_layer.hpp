@@ -152,6 +152,16 @@ struct CompressedModel
     /** Total storage including each codebook once. */
     StorageCost storage() const;
 
+    /**
+     * Semantic check of a decoded model (core/serialize streams and MVQI
+     * images alike), run before anything indexes with its contents:
+     * every layer's codebook exists, every assignment is below its
+     * codebook's k, and ng matches the subvector count the weight shape
+     * implies. FatalError naming `what` on violation — a corrupt file
+     * fails loudly instead of packing out of bounds.
+     */
+    void validate(const std::string &what) const;
+
     /** Eq. 7 over the whole model. */
     double
     compressionRatio(int bf = 32) const

@@ -1,28 +1,37 @@
 /**
  * @file
- * ModelArtifact — the one API every consumer of a compressed-model file
- * goes through (examples, the accelerator sim's weight loader, the
- * serving-oriented conv layers). Two backends implement it:
+ * ModelArtifact — the one API, and the one backend, every consumer of a
+ * compressed-model file goes through (examples, the accelerator sim's
+ * weight loader, the serving-oriented conv layers).
  *
- *  - StreamArtifact (core/io/stream_artifact): the legacy bit-packed
- *    stream of core/serialize. Opening it decodes the full stream; packed
- *    operands are built on demand (packGroupedRows) and cached.
- *  - MmapArtifact (core/io/mmap_artifact): the MVQI image. Opening it
- *    mmaps and structurally validates the file; packed operands are
- *    borrowed views whose pointers alias the mapped bytes — no bit-stream
- *    decode and no packSparseRows/packGroupedRows on the load path.
+ * An artifact is always an MVQI image (core/io/mvqi_format) held by a
+ * MappedFile and structurally validated by an MvqiView:
  *
- * openArtifact() sniffs the file magic and returns the right backend, so
- * callers are format-agnostic: the same serving code runs from either
- * file, and converting between formats is saveArtifact(artifact->model()).
+ *  - a `.mvqi` file is mmap'ed (or read into the 64-byte-aligned heap
+ *    fallback under MVQ_MVQI_NO_MMAP=1) — no bit-stream decode and no
+ *    packGroupedRows on the load path;
+ *  - a `.mvq` bit-packed stream (core/serialize) is the archival format:
+ *    opening one decodes it (deserializeModel) and converts it in memory
+ *    with buildMvqiImage (conv groups = 1) into the same aligned heap
+ *    storage. format() still reports Stream and sizeBytes() the file's
+ *    on-disk size.
+ *
+ * Either way packedOperands borrows views whose pointers alias the image,
+ * so the serving code, its cache, its lock and its fault sites are the
+ * same whichever file was opened. Converting between formats is
+ * saveArtifact(artifact.model()).
  */
 
 #ifndef MVQ_CORE_IO_MODEL_ARTIFACT_HPP
 #define MVQ_CORE_IO_MODEL_ARTIFACT_HPP
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compressed_layer.hpp"
@@ -43,9 +52,8 @@ std::string artifactFormatName(ArtifactFormat f);
 /**
  * Shared handle to one layer's packed gemm operands (one
  * GroupedSparseMatrix per conv group). The shared_ptr's control block
- * keeps whatever owns the underlying bytes alive — for a borrowed MVQI
- * operand that is the mapped file itself — so holders may outlive the
- * artifact that produced them.
+ * keeps the image bytes the operands borrow from alive, so holders may
+ * outlive the artifact that produced them.
  */
 using SharedOperands = std::shared_ptr<const std::vector<GroupedSparseMatrix>>;
 
@@ -53,52 +61,83 @@ using SharedOperands = std::shared_ptr<const std::vector<GroupedSparseMatrix>>;
 class ModelArtifact
 {
   public:
-    virtual ~ModelArtifact() = default;
+    /**
+     * Open `path`, sniffing the magic: an MVQI image is mapped, a `.mvq`
+     * stream is decoded and converted to an image in memory. Either way
+     * the image is structurally validated (MvqiView). Fatal on
+     * unreadable files, unknown magic, or corrupt contents.
+     */
+    explicit ModelArtifact(const std::string &path);
 
-    virtual ArtifactFormat format() const = 0;
-    virtual const std::string &path() const = 0;
-    virtual std::int64_t sizeBytes() const = 0;
+    /** The format of the file that was opened. */
+    ArtifactFormat format() const { return format_; }
+    const std::string &path() const { return map_->path(); }
+    /** Size of the opened file on disk. */
+    std::int64_t sizeBytes() const { return size_bytes_; }
 
     /**
-     * The fully materialized model. For a StreamArtifact this is the
-     * decoded stream (built at open); for an MmapArtifact it is
-     * reconstructed from the image on first call (and cached) — serving
-     * paths that only need packedOperands never pay for it.
+     * The fully materialized model: the decoded stream for a `.mvq`
+     * file, otherwise reconstructed from the image on first call (and
+     * cached, after CompressedModel::validate) — serving paths that only
+     * need packedOperands never pay for it.
      */
-    virtual const CompressedModel &model() const = 0;
+    const CompressedModel &model() const;
 
-    virtual std::int64_t layerCount() const = 0;
-    virtual std::string layerName(std::int64_t i) const = 0;
+    std::int64_t layerCount() const;
+    std::string layerName(std::int64_t i) const;
     /** Original 4-D kernel shape of layer i. */
-    virtual Shape layerShape(std::int64_t i) const = 0;
+    Shape layerShape(std::int64_t i) const;
+
+    /** Conv groups layer i's image operands were packed for (>= 1;
+     *  always 1 for a `.mvq` file). */
+    std::int64_t bakedGroups(std::int64_t i) const;
 
     /**
-     * Conv groups the artifact has pre-packed operands for (MVQI bakes
-     * them at write time); 0 when the artifact stores no packing (stream)
-     * and every group count is equally cheap.
-     */
-    virtual std::int64_t bakedGroups(std::int64_t i) const = 0;
-
-    /**
-     * Layer i's packed sparse operands for a `groups`-way convolution.
-     * `groups == 0` means "the artifact's baked groups" (or 1 when
-     * nothing is baked). Results are cached per (layer, groups), so N
-     * conv instances built from one artifact share one operand set.
+     * Layer i's packed sparse operands for a `groups`-way convolution;
+     * `groups == 0` means the baked groups. Results are cached per
+     * (layer, groups), so N conv instances built from one artifact share
+     * one operand set.
      *
-     * MmapArtifact serves the baked group count as borrowed views over
-     * the image (zero-copy; the returned handle keeps the mapping alive);
-     * any other count falls back to materializing + repacking, which is
-     * correct but defeats the zero-copy point — bake the right groups at
-     * write time (MvqiWriteOptions::layer_groups).
+     * The baked group count is served as borrowed views over the image
+     * (zero-copy; the returned handle keeps the image alive) after the
+     * O(nnz) validateGroupedOperand check. Any other count falls back to
+     * materializing + repacking, which is correct but defeats the
+     * zero-copy point — bake the right groups at write time
+     * (MvqiWriteOptions::layer_groups).
      */
-    virtual SharedOperands packedOperands(std::int64_t i,
-                                          std::int64_t groups = 0) const = 0;
+    SharedOperands packedOperands(std::int64_t i,
+                                  std::int64_t groups = 0) const;
+
+    /** True when the image is mmap'ed (vs aligned heap storage). */
+    bool mapped() const { return map_->mapped(); }
+    /** The validated structural view (inspection tooling). */
+    const MvqiView &view() const { return view_; }
+
+  private:
+    struct Opened;
+    /** Sniff, then map the image or convert the stream into one. */
+    static Opened openImage(const std::string &path);
+    explicit ModelArtifact(Opened opened);
+
+    /** model_ builder + cache lookup body; mu_ must be held. */
+    const CompressedModel &modelLocked() const;
+
+    ArtifactFormat format_;
+    std::int64_t size_bytes_;
+    std::shared_ptr<MappedFile> map_;
+    MvqiView view_;
+    /** Serializes lazy materialization and the operand cache: model()
+     *  and packedOperands() are called concurrently by serving threads
+     *  sharing one artifact (see tests/concurrency_test.cpp). */
+    mutable std::mutex mu_;
+    /** Materialized model: seeded at open for a `.mvq` file, built on
+     *  first model() call for an image. */
+    mutable std::optional<CompressedModel> model_;
+    mutable std::map<std::pair<std::int64_t, std::int64_t>, SharedOperands>
+        cache_;
 };
 
-/**
- * Open a compressed-model file, sniffing the magic to pick the backend.
- * Fatal on unreadable files or unknown magic.
- */
+/** Open a compressed-model file (see ModelArtifact's constructor). */
 std::unique_ptr<ModelArtifact> openArtifact(const std::string &path);
 
 /**

@@ -306,22 +306,33 @@ MappedFile::MappedFile(const std::string &path) : path_(path)
     fatalIf(!in, "cannot open model image ", path);
     const std::int64_t sz = static_cast<std::int64_t>(in.tellg());
     fatalIf(sz <= 0, "model image ", path, " is empty");
-    const std::size_t alloc =
-        (static_cast<std::size_t>(sz) + kMvqiAlign - 1)
-        / kMvqiAlign * kMvqiAlign;
-    void *p = std::aligned_alloc(static_cast<std::size_t>(kMvqiAlign),
-                                 alloc);
-    fatalIf(p == nullptr, "cannot allocate ", alloc, " bytes for model ",
-            "image ", path);
     in.seekg(0);
-    in.read(static_cast<char *>(p), sz);
-    if (!in) {
-        std::free(p);
-        fatal("short read loading model image ", path);
-    }
-    heap_ = p;
-    data_ = static_cast<const std::uint8_t *>(p);
-    size_ = sz;
+    in.read(static_cast<char *>(allocHeap(sz)), sz);
+    fatalIf(!in, "short read loading model image ", path);
+}
+
+MappedFile::MappedFile(std::string path,
+                       const std::vector<std::uint8_t> &bytes)
+    : path_(std::move(path))
+{
+    fatalIf(bytes.empty(), "model image ", path_, " is empty");
+    std::memcpy(allocHeap(static_cast<std::int64_t>(bytes.size())),
+                bytes.data(), bytes.size());
+}
+
+void *
+MappedFile::allocHeap(std::int64_t size)
+{
+    const std::size_t alloc =
+        (static_cast<std::size_t>(size) + kMvqiAlign - 1)
+        / kMvqiAlign * kMvqiAlign;
+    heap_.reset(
+        std::aligned_alloc(static_cast<std::size_t>(kMvqiAlign), alloc));
+    fatalIf(heap_ == nullptr, "cannot allocate ", alloc,
+            " bytes for model image ", path_);
+    data_ = static_cast<const std::uint8_t *>(heap_.get());
+    size_ = size;
+    return heap_.get();
 }
 
 MappedFile::~MappedFile()
@@ -331,8 +342,6 @@ MappedFile::~MappedFile()
         ::munmap(const_cast<std::uint8_t *>(data_),
                  static_cast<std::size_t>(size_));
 #endif
-    if (heap_ != nullptr)
-        std::free(heap_);
 }
 
 MvqiView::MvqiView(const std::uint8_t *data, std::int64_t size,

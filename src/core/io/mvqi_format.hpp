@@ -21,7 +21,9 @@
 #define MVQ_CORE_IO_MVQI_FORMAT_HPP
 
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -151,14 +153,18 @@ bool mvqiHeapFallback();
 void setMvqiHeapFallback(bool on);
 
 /**
- * Read-only mapping of a file: mmap on POSIX, a 64-byte-aligned heap copy
- * elsewhere (or when MVQ_MVQI_NO_MMAP=1 forces the fallback for testing).
- * Fatal on open/stat/map failure or an empty file.
+ * Read-only image bytes: an mmap of a file on POSIX, or a 64-byte-aligned
+ * heap copy — of the file elsewhere (or when MVQ_MVQI_NO_MMAP=1 forces
+ * the fallback for testing), or of an image built in memory.
  */
 class MappedFile
 {
   public:
+    /** Map `path`; fatal on open/stat/map failure or an empty file. */
     explicit MappedFile(const std::string &path);
+    /** Copy an in-memory image (e.g. a converted `.mvq` stream) into
+     *  aligned heap storage; `path` names it in diagnostics. */
+    MappedFile(std::string path, const std::vector<std::uint8_t> &bytes);
     ~MappedFile();
     MappedFile(const MappedFile &) = delete;
     MappedFile &operator=(const MappedFile &) = delete;
@@ -170,11 +176,19 @@ class MappedFile
     bool mapped() const { return mapped_; }
 
   private:
+    /** Point data_/size_ at fresh 64-byte-aligned heap storage of `size`
+     *  bytes, owned by heap_ (freed even when a constructor throws). */
+    void *allocHeap(std::int64_t size);
+
     std::string path_;
     const std::uint8_t *data_ = nullptr;
     std::int64_t size_ = 0;
     bool mapped_ = false;
-    void *heap_ = nullptr; //!< fallback allocation (aligned)
+    struct FreeDeleter
+    {
+        void operator()(void *p) const { std::free(p); }
+    };
+    std::unique_ptr<void, FreeDeleter> heap_; //!< aligned heap storage
 };
 
 /**
@@ -189,7 +203,7 @@ class MappedFile
  * Structural validation is O(layers + groups), independent of model
  * size; the O(nnz) semantic validation of each operand's indices happens
  * when the operand is borrowed (validateGroupedOperand, see
- * MmapArtifact::packedOperands).
+ * ModelArtifact::packedOperands).
  */
 class MvqiView
 {

@@ -223,6 +223,7 @@ deserializeModel(const std::vector<std::uint8_t> &data)
         }
         model.layers.push_back(std::move(layer));
     }
+    model.validate("corrupt model stream");
     return model;
 }
 

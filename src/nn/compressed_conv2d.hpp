@@ -11,11 +11,10 @@
  * too. The operand is additionally bucketed by kept-column pattern
  * (core::CompressedLayer::packGroupedRows) so rows sharing an N:M mask
  * code run through the multi-row kernel, one B-panel load feeding several
- * output channels; `MVQ_SPARSE_MULTIROW=0` restores the single-row walk.
- * `MVQ_FUSED_CONV=0` falls back to the materializing im2col + sparse
- * gemm composition (bit-identical per ISA; see tensor/ops.hpp). Contrast
- * with CompressedModel::applyTo, which densifies the kernel and pays the
- * full dense gemm.
+ * output channels. That is the layer's one forward path; the
+ * materializing im2col + sparse gemm composition survives only as the
+ * tests' oracle (tensor/ops.hpp). Contrast with CompressedModel::applyTo,
+ * which densifies the kernel and pays the full dense gemm.
  */
 
 #ifndef MVQ_NN_COMPRESSED_CONV2D_HPP
@@ -69,12 +68,11 @@ class CompressedConv2d
         std::int64_t stride = 1, std::int64_t pad = 0);
 
     /**
-     * NCHW forward through the fused im2col->panel sparse gemm (one gemm
-     * per (batch, group) pair, output slabs written in place; the
-     * materializing im2col path under `MVQ_FUSED_CONV=0` is
-     * bit-identical). Genuinely const (no hidden mutable state), so one
-     * instance can serve concurrent forward calls. Output is
-     * bit-identical for any `MVQ_NUM_THREADS` within an ISA.
+     * NCHW forward through the fused im2col->panel sparse gemm (one
+     * gemmSparseAIm2col per (batch, group) pair, output slabs written in
+     * place). Genuinely const (no hidden mutable state), so one instance
+     * can serve concurrent forward calls. Output is bit-identical for any
+     * `MVQ_NUM_THREADS` within an ISA.
      */
     Tensor forward(const Tensor &x) const;
 

@@ -25,7 +25,7 @@ namespace mvq {
  * A dynamic array that is either *owned* (backed by a std::vector — the
  * result of packing an operand at runtime) or *borrowed* (a read-only
  * span over memory something else owns — e.g. one 64-byte-aligned
- * section of an mmap'ed MVQI model image; see core/io/mmap_artifact).
+ * section of an MVQI model image; see core/io/model_artifact).
  *
  * The read API (const data()/size()/operator[]/iteration) works in both
  * modes and is what every gemm driver uses — drivers take operands by

@@ -1,7 +1,6 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -12,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/simd_dispatch.hpp"
@@ -1019,11 +1017,10 @@ gemmSparseARaw(const GroupedSparseMatrix &a, const float *pb,
                std::int64_t ldb, std::int64_t n, float alpha, float beta,
                float *pc, std::int64_t ldc)
 {
-    // Disabled knob, tile-free operands, and small problems all route
-    // through the single-row entry point on the embedded full operand —
-    // the exact code the ungrouped path runs, so results are bit-identical.
-    if (!sparseMultiRowEnabled() || a.tiles.empty()
-        || a.rows.nnz() * n <= kGemmScalarFallbackMacs) {
+    // Tile-free operands and small problems route through the single-row
+    // entry point on the embedded full operand — the exact code the
+    // ungrouped path runs, so results are bit-identical.
+    if (a.tiles.empty() || a.rows.nnz() * n <= kGemmScalarFallbackMacs) {
         gemmSparseARaw(a.rows, pb, ldb, n, alpha, beta, pc, ldc);
         return;
     }
@@ -1324,10 +1321,10 @@ void
 gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
                   float alpha, float beta, float *pc, std::int64_t ldc)
 {
-    // Same forwarding rule as the grouped gemmSparseARaw: knob off,
-    // nothing tiled, or below the crossover -> the single-row entry point
-    // on the embedded full operand, bit-identical to the ungrouped path.
-    if (!sparseMultiRowEnabled() || a.tiles.empty()
+    // Same forwarding rule as the grouped gemmSparseARaw: nothing tiled
+    // or below the crossover -> the single-row entry point on the
+    // embedded full operand, bit-identical to the ungrouped path.
+    if (a.tiles.empty()
         || a.rows.nnz() * b.cols() <= kGemmScalarFallbackMacs) {
         gemmSparseAIm2col(a.rows, b, alpha, beta, pc, ldc);
         return;
@@ -1355,53 +1352,6 @@ gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
             packBFromIm2col(b, k0, j0, kc, nc, nr, bp);
         },
         pc, ldc);
-}
-
-namespace {
-
-/** -1 = unresolved (read MVQ_FUSED_CONV on first query). */
-std::atomic<int> g_fused_conv{-1};
-
-/** -1 = unresolved (read MVQ_SPARSE_MULTIROW on first query). */
-std::atomic<int> g_sparse_multirow{-1};
-
-} // namespace
-
-bool
-fusedConvEnabled()
-{
-    int v = g_fused_conv.load(std::memory_order_acquire);
-    if (v < 0) {
-        // The registry caches the raw environment read; this atomic only
-        // keeps the per-forward query a single load (and carries the
-        // programmatic setFusedConvEnabled override).
-        v = env::flag("MVQ_FUSED_CONV", true) ? 1 : 0;
-        g_fused_conv.store(v, std::memory_order_release);
-    }
-    return v == 1;
-}
-
-void
-setFusedConvEnabled(bool on)
-{
-    g_fused_conv.store(on ? 1 : 0, std::memory_order_release);
-}
-
-bool
-sparseMultiRowEnabled()
-{
-    int v = g_sparse_multirow.load(std::memory_order_acquire);
-    if (v < 0) {
-        v = env::flag("MVQ_SPARSE_MULTIROW", true) ? 1 : 0;
-        g_sparse_multirow.store(v, std::memory_order_release);
-    }
-    return v == 1;
-}
-
-void
-setSparseMultiRowEnabled(bool on)
-{
-    g_sparse_multirow.store(on ? 1 : 0, std::memory_order_release);
 }
 
 void

@@ -96,7 +96,7 @@ Tensor matmul(const Tensor &a, const Tensor &b,
  *
  * The arrays are OperandArray so an operand can either own its storage
  * (packed at runtime) or borrow it from an mmap'ed MVQI model image
- * (core/io/mmap_artifact) — the drivers only ever read through const
+ * (core/io/model_artifact) — the drivers only ever read through const
  * accessors, so both modes share every kernel unchanged.
  */
 struct SparseRowMatrix
@@ -191,7 +191,7 @@ constexpr std::int64_t kSparseTileMaxRows = 4;
  * odd-sized bucket) stay in `remainder`, a CSR over the same row/column
  * space driven by the single-row kernel. Tiles + remainder partition
  * rows.nnz() exactly. The full `rows` operand is retained for the
- * MVQ_SPARSE_MULTIROW=0 fallback path (bit-identical to the ungrouped
+ * tile-free and small-problem paths (bit-identical to the ungrouped
  * entry points) and as the shape/validation source of truth.
  */
 struct GroupedSparseMatrix
@@ -208,7 +208,7 @@ struct GroupedSparseMatrix
         std::int64_t val_off = 0; //!< into vals; nrows x ncols row-major
     };
 
-    SparseRowMatrix rows;      //!< full single-row operand (fallback path)
+    SparseRowMatrix rows;      //!< full single-row operand
     OperandArray<Tile> tiles;  //!< bucket chunks, grouped into bands
     OperandArray<std::int32_t> cols; //!< shared column patterns, ascending
     OperandArray<float> vals;        //!< tile values, row-major per tile
@@ -263,15 +263,15 @@ GroupedSparseMatrix groupSparseRows(SparseRowMatrix rows,
                                     std::int64_t min_cols = 8);
 
 /**
- * Grouped-operand forms of the sparse-A gemm entry points. With the
- * multi-row path enabled (default) and tiles present, the blocked driver
- * walks buckets instead of rows: per (jc, k0) block each band's tiles run
- * through the per-ISA multi-row micro-kernel (one shared B-row load per
- * tile) and the remainder rows through the single-row kernel, in a fixed
- * order per C element — bit-identical for any thread count within an
- * ISA. With MVQ_SPARSE_MULTIROW=0 (or no tiles) these forward to the
- * SparseRowMatrix overloads on a.rows, reproducing the single-row path
- * bit-for-bit.
+ * Grouped-operand forms of the sparse-A gemm entry points. When tiles are
+ * present, the blocked driver walks buckets instead of rows: per
+ * (jc, k0) block each band's tiles run through the per-ISA multi-row
+ * micro-kernel (one shared B-row load per tile) and the remainder rows
+ * through the single-row kernel, in a fixed order per C element —
+ * bit-identical for any thread count within an ISA, and within 1e-4 of
+ * gemmSparseAReference. Tile-free operands and problems below the scalar
+ * crossover forward to the SparseRowMatrix overloads on a.rows,
+ * reproducing the single-row path bit-for-bit.
  */
 void gemmSparseA(const GroupedSparseMatrix &a, const Tensor &b, Tensor &c,
                  float alpha = 1.0f, float beta = 0.0f);
@@ -340,10 +340,9 @@ struct ConvGeom
  * default c0 = 0 and g.in_c == input channels this is classic im2col;
  * grouped convolutions pass c0 to select their channel slice.
  *
- * This is the *materializing* form: the fused forward paths below skip it
- * entirely (gemmIm2colRaw / gemmSparseAIm2col), but it remains the oracle
- * for the fused tests, the backward/col2im companion, and the fallback
- * when `MVQ_FUSED_CONV=0`.
+ * This is the *materializing* form: the conv forwards skip it entirely
+ * (gemmIm2colRaw / gemmSparseAIm2col), but it remains the oracle for the
+ * fused tests and the backward/col2im companion.
  */
 Tensor im2col(const Tensor &input, std::int64_t n, const ConvGeom &g,
               std::int64_t c0 = 0);
@@ -408,8 +407,9 @@ void packBFromIm2col(const Im2colB &b, std::int64_t k0, std::int64_t j0,
  * packBFromIm2col, so the result is BIT-IDENTICAL to
  * `gemmRaw(m, n, k, alpha, a, lda, false, im2col(...).data(), n, false,
  * beta, c, ldc)` for any ISA and thread count (small problems fall back
- * to a materialize + gemmReferenceRaw path, again matching the unfused
- * fallback exactly). Panics on non-positive output dims.
+ * to a materialize + gemmReferenceRaw path, again matching that
+ * composition exactly). The one forward path of nn::Conv2d. Panics on
+ * non-positive output dims.
  */
 void gemmIm2colRaw(std::int64_t m, float alpha, const float *a,
                    std::int64_t lda, const Im2colB &b, float beta, float *c,
@@ -430,36 +430,13 @@ void gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b,
 
 /**
  * Grouped-operand form of gemmSparseAIm2col: the multi-row bucket walk
- * with B panels packed straight from the input image. Falls back to the
- * single-row fused path (bit-identical) when multi-row is disabled or the
- * operand has no tiles.
+ * with B panels packed straight from the input image — the one conv
+ * forward path of nn::CompressedConv2d. Forwards to the single-row fused
+ * path (bit-identical) when the operand has no tiles or the problem is
+ * below the scalar crossover.
  */
 void gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
                        float alpha, float beta, float *c, std::int64_t ldc);
-
-/**
- * Whether the grouped sparse gemm entry points use the multi-row tile
- * path (default) or forward everything to the single-row kernels. First
- * call reads `MVQ_SPARSE_MULTIROW` (0/off disables); the disabled setting
- * reproduces the ungrouped entry points bit-identically per ISA — the
- * knob exists for A/B perf comparison and as a debug fallback.
- */
-bool sparseMultiRowEnabled();
-
-/** Programmatic override of sparseMultiRowEnabled (tests/benches). */
-void setSparseMultiRowEnabled(bool on);
-
-/**
- * Whether the conv layers route their forward gemms through the fused
- * im2col->panel entry points (default) or materialize cols and call the
- * dense-B gemms. First call reads `MVQ_FUSED_CONV` (0/off disables);
- * both settings produce bit-identical outputs — the knob exists for A/B
- * perf comparison and as a debug fallback.
- */
-bool fusedConvEnabled();
-
-/** Programmatic override of fusedConvEnabled (tests/benches). */
-void setFusedConvEnabled(bool on);
 
 /**
  * Scatter-add a column matrix back into an image gradient (inverse of

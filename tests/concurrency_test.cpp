@@ -3,7 +3,8 @@
  * Hammer tests for the racy-by-design surfaces the serving runtime will
  * put under concurrent load: first-touch SIMD dispatch resolution,
  * first-touch env-knob reads, the per-(layer,groups) packed-operand
- * caches of both artifact backends, shared-operand forward passes, and
+ * cache of the artifact (opened from an MVQI image and from a `.mvq`
+ * stream), shared-operand forward passes, and
  * concurrent external callers of the thread pool. Every test asserts a
  * functional property (one cache entry, bit-identical outputs, correct
  * sums); the TSan tier (MVQ_SANITIZE=thread, see docs/TOOLING.md) is what
@@ -23,9 +24,7 @@
 #include "common/parallel.hpp"
 #include "common/random.hpp"
 #include "common/simd_dispatch.hpp"
-#include "core/io/mmap_artifact.hpp"
 #include "core/io/model_artifact.hpp"
-#include "core/io/stream_artifact.hpp"
 #include "mvqi_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
 #include "tensor/ops.hpp"
@@ -83,31 +82,21 @@ TEST(Concurrency, FirstTouchKnobReadsAgreeAcrossThreads)
     // Each thread resolves every knob repeatedly; the registry caches the
     // first read, so all threads must observe identical values even when
     // they race the very first resolution.
-    std::vector<int> fused(kHammerThreads, -1);
-    std::vector<int> multirow(kHammerThreads, -1);
     std::vector<std::int64_t> nthreads(kHammerThreads, -1);
     std::vector<std::string> simd_str(kHammerThreads);
     hammer(kHammerThreads, [&](int t) {
         for (int i = 0; i < 64; ++i) {
-            const bool f = fusedConvEnabled();
-            const bool m = sparseMultiRowEnabled();
             const std::int64_t n = env::int_("MVQ_NUM_THREADS", 0);
             const std::string s = env::str("MVQ_SIMD", "");
             if (i == 0) {
-                fused[static_cast<std::size_t>(t)] = f ? 1 : 0;
-                multirow[static_cast<std::size_t>(t)] = m ? 1 : 0;
                 nthreads[static_cast<std::size_t>(t)] = n;
                 simd_str[static_cast<std::size_t>(t)] = s;
             }
-            ASSERT_EQ(f ? 1 : 0, fused[static_cast<std::size_t>(t)]);
-            ASSERT_EQ(m ? 1 : 0, multirow[static_cast<std::size_t>(t)]);
             ASSERT_EQ(n, nthreads[static_cast<std::size_t>(t)]);
             ASSERT_EQ(s, simd_str[static_cast<std::size_t>(t)]);
         }
     });
     for (int t = 1; t < kHammerThreads; ++t) {
-        EXPECT_EQ(fused[0], fused[static_cast<std::size_t>(t)]);
-        EXPECT_EQ(multirow[0], multirow[static_cast<std::size_t>(t)]);
         EXPECT_EQ(nthreads[0], nthreads[static_cast<std::size_t>(t)]);
         EXPECT_EQ(simd_str[0], simd_str[static_cast<std::size_t>(t)]);
     }
@@ -146,9 +135,10 @@ class ConcurrencyArtifactTest : public ::testing::Test
     std::string image_path_;
 };
 
-TEST_F(ConcurrencyArtifactTest, PackedOperandsCacheHitsShareOneEntry)
+/** Hammer every layer's packedOperands from kHammerThreads threads. */
+void
+hammerOperandCache(const io::ModelArtifact &art)
 {
-    const io::MmapArtifact art(image_path_);
     const std::int64_t layers = art.layerCount();
     // [thread][layer] -> the operand set that thread observed first.
     std::vector<std::vector<io::SharedOperands>> seen(
@@ -178,27 +168,21 @@ TEST_F(ConcurrencyArtifactTest, PackedOperandsCacheHitsShareOneEntry)
                               .get());
 }
 
+TEST_F(ConcurrencyArtifactTest, PackedOperandsCacheHitsShareOneEntry)
+{
+    hammerOperandCache(io::ModelArtifact(image_path_));
+}
+
 TEST_F(ConcurrencyArtifactTest, StreamPackedOperandsCacheHitsShareOneEntry)
 {
-    const io::StreamArtifact art(stream_path_);
-    std::vector<io::SharedOperands> seen(
-        static_cast<std::size_t>(kHammerThreads));
-    hammer(kHammerThreads, [&](int t) {
-        for (int i = 0; i < 32; ++i) {
-            io::SharedOperands ops = art.packedOperands(0);
-            ASSERT_NE(ops.get(), nullptr);
-            if (i == 0)
-                seen[static_cast<std::size_t>(t)] = ops;
-            ASSERT_EQ(ops.get(), seen[static_cast<std::size_t>(t)].get());
-        }
-    });
-    for (int t = 1; t < kHammerThreads; ++t)
-        EXPECT_EQ(seen[0].get(), seen[static_cast<std::size_t>(t)].get());
+    // A `.mvq` file opens into the same image-backed artifact, so its
+    // cache is the one above — hammered here through the stream open.
+    hammerOperandCache(io::ModelArtifact(stream_path_));
 }
 
 TEST_F(ConcurrencyArtifactTest, ConcurrentModelMaterializationIsStable)
 {
-    const io::MmapArtifact art(image_path_);
+    const io::ModelArtifact art(image_path_);
     std::vector<const CompressedModel *> seen(
         static_cast<std::size_t>(kHammerThreads), nullptr);
     hammer(kHammerThreads, [&](int t) {

@@ -6,8 +6,8 @@
  * for every ISA this host can execute, on both sides of the
  * small-problem crossover, over padded/strided/panel-straddling
  * geometries; 1-vs-4-thread memcmp; degenerate 0-output-dim panics; and
- * the layer-level MVQ_FUSED_CONV switch on Conv2d / CompressedConv2d
- * (grouped and strided).
+ * the Conv2d / CompressedConv2d forwards (grouped and strided) memcmp'd
+ * against the im2col + gemm composition per (batch, group).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/simd_dispatch.hpp"
+#include "conv_oracle.hpp"
 #include "core/compressed_layer.hpp"
 #include "core/nm_pruning.hpp"
 #include "nn/compressed_conv2d.hpp"
@@ -39,12 +40,6 @@ struct IsaGuard
 struct ThreadGuard
 {
     ~ThreadGuard() { setNumThreads(0); }
-};
-
-struct FusedGuard
-{
-    bool saved = fusedConvEnabled();
-    ~FusedGuard() { setFusedConvEnabled(saved); }
 };
 
 std::vector<Isa>
@@ -357,22 +352,34 @@ TEST(FusedPack, SparseInnerDimMismatchPanics)
 TEST(FusedPack, Conv2dForwardFusedMatchesUnfused)
 {
     IsaGuard iguard;
-    FusedGuard fguard;
-    // Grouped AND strided AND padded, batch 2 — the layer-level knob must
-    // be a pure perf switch.
+    // Grouped AND strided AND padded, batch 2, with bias: the fused
+    // forward must reproduce im2col + gemmRaw per (batch, group), plus
+    // the bias add, bit-for-bit.
     Rng rng(81);
     nn::Conv2dConfig cc{8, 12, 3, 2, 1, 2, true};
     nn::Conv2d conv("conv", cc, rng);
+    conv.biasParam().value.fillNormal(rng, 0.0f, 1.0f);
     Tensor x(Shape({2, 8, 11, 11}));
     x.fillNormal(rng, 0.0f, 1.0f);
+    const ConvGeom g{4, 11, 11, 3, 3, 2, 1};
+    const std::int64_t kg = 6;
+    const std::int64_t wcols = 4 * 9;
+    const std::int64_t ohw = g.outH() * g.outW();
+    const float *pw = conv.weight().value.data();
 
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        setFusedConvEnabled(true);
-        const Tensor fused = conv.forward(x, false);
-        setFusedConvEnabled(false);
-        const Tensor unfused = conv.forward(x, false);
-        expectBitIdentical(unfused, fused, simd::isaName(isa));
+        Tensor unfused = im2colConv(
+            x, 12, 2, g,
+            [&](std::int64_t grp, const float *cols, float *out) {
+                gemmRaw(kg, ohw, wcols, 1.0f, pw + grp * kg * wcols, wcols,
+                        false, cols, ohw, false, 0.0f, out, ohw);
+            });
+        for (std::int64_t nk = 0; nk < 2 * 12; ++nk)
+            for (std::int64_t i = 0; i < ohw; ++i)
+                unfused[nk * ohw + i] += conv.biasParam().value[nk % 12];
+        expectBitIdentical(unfused, conv.forward(x, false),
+                           simd::isaName(isa));
     }
 }
 
@@ -408,10 +415,27 @@ struct CompressedFixture
     }
 };
 
+/** im2col + grouped gemmSparseARaw per (batch, group) over the conv's
+ *  own packed operands. */
+Tensor
+unfusedCompressedForward(const nn::CompressedConv2d &conv, const Tensor &x,
+                         const Shape &w4, std::int64_t stride,
+                         std::int64_t pad, std::int64_t groups)
+{
+    const ConvGeom g{w4.dim(1), x.dim(2), x.dim(3), w4.dim(2), w4.dim(3),
+                     stride, pad};
+    const std::int64_t ohw = g.outH() * g.outW();
+    return im2colConv(
+        x, w4.dim(0), groups, g,
+        [&](std::int64_t grp, const float *cols, float *out) {
+            gemmSparseARaw(conv.groupedOperand(grp), cols, ohw, ohw, 1.0f,
+                           0.0f, out, ohw);
+        });
+}
+
 TEST(FusedPack, CompressedConv2dFusedMatchesUnfused)
 {
     IsaGuard iguard;
-    FusedGuard fguard;
     // Grouped (groups=2) and strided (stride 2, pad 1) compressed convs.
     CompressedFixture grouped(Shape({16, 2, 3, 3}), 91);
     const nn::CompressedConv2d conv_g(grouped.layer, grouped.cb, 1, 1, 2);
@@ -426,12 +450,12 @@ TEST(FusedPack, CompressedConv2dFusedMatchesUnfused)
 
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        setFusedConvEnabled(true);
-        const Tensor fg = conv_g.forward(xg);
-        const Tensor fs = conv_s.forward(xs);
-        setFusedConvEnabled(false);
-        expectBitIdentical(conv_g.forward(xg), fg, "grouped");
-        expectBitIdentical(conv_s.forward(xs), fs, "strided");
+        expectBitIdentical(unfusedCompressedForward(conv_g, xg,
+                                                    grouped.shape, 1, 1, 2),
+                           conv_g.forward(xg), "grouped");
+        expectBitIdentical(unfusedCompressedForward(conv_s, xs,
+                                                    strided.shape, 2, 1, 1),
+                           conv_s.forward(xs), "strided");
     }
 }
 

@@ -2,7 +2,8 @@
  * @file
  * ModelArtifact API tests: stream<->mvqi round-trip bit-identity
  * (reconstructed tensors and forward outputs memcmp-equal under the
- * active MVQ_SIMD ISA), borrowed-view vs owned-operand forward identity,
+ * active MVQ_SIMD ISA), the `.mvq` open converting to an in-memory
+ * image, borrowed-view vs owned-operand forward identity,
  * operand sharing/caching, mapping lifetime, the aligned-heap fallback,
  * and the checked-in golden fixture pinning MVQI format v1 byte-for-byte.
  *
@@ -19,9 +20,8 @@
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
-#include "core/io/mmap_artifact.hpp"
 #include "core/io/model_artifact.hpp"
-#include "core/io/stream_artifact.hpp"
+#include "core/serialize.hpp"
 #include "mvqi_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
 #include "tensor/ops.hpp"
@@ -101,7 +101,13 @@ TEST_F(ModelArtifactTest, OpenSniffsFormat)
     EXPECT_EQ(m->layerShape(1), Shape({16, 4, 3, 3}));
     EXPECT_EQ(m->bakedGroups(0), 1);
     EXPECT_EQ(m->bakedGroups(1), 2);
-    EXPECT_EQ(s->bakedGroups(1), 0);
+    // A `.mvq` file converts to an image packed at groups = 1, yet still
+    // reports its own format and on-disk size.
+    EXPECT_EQ(s->bakedGroups(0), 1);
+    EXPECT_EQ(s->bakedGroups(1), 1);
+    EXPECT_EQ(s->sizeBytes(),
+              static_cast<std::int64_t>(serializeModel(model_).size()));
+    EXPECT_FALSE(s->mapped());
 }
 
 TEST_F(ModelArtifactTest, RoundTripReconstructionBitIdentity)
@@ -135,22 +141,26 @@ TEST_F(ModelArtifactTest, RoundTripForwardBitIdentity)
 
 TEST_F(ModelArtifactTest, BorrowedViewsAliasTheImageZeroCopy)
 {
-    const auto art = std::make_unique<io::MmapArtifact>(image_path_);
-    const auto *base = art->view().data();
-    const auto *end = base + art->view().size();
-    for (std::int64_t i = 0; i < art->layerCount(); ++i) {
-        const io::SharedOperands ops = art->packedOperands(i);
-        for (const GroupedSparseMatrix &g : *ops) {
-            // Borrowed mode, and every array points into the mapping —
-            // no bit-stream decode, no packGroupedRows, no copies.
-            EXPECT_TRUE(g.rows.values.borrowed());
-            EXPECT_TRUE(g.tiles.borrowed());
-            EXPECT_TRUE(g.band_ptr.borrowed());
-            EXPECT_TRUE(g.remainder.values.borrowed());
-            const auto *p =
-                reinterpret_cast<const std::uint8_t *>(g.rows.values.data());
-            EXPECT_TRUE(p >= base && p <= end);
-            EXPECT_TRUE(g.validated);
+    // Both opens serve borrowed views: into the mapping for the image,
+    // into the converted in-memory image for the stream.
+    for (const std::string &path : {image_path_, stream_path_}) {
+        const auto art = io::openArtifact(path);
+        const auto *base = art->view().data();
+        const auto *end = base + art->view().size();
+        for (std::int64_t i = 0; i < art->layerCount(); ++i) {
+            const io::SharedOperands ops = art->packedOperands(i);
+            for (const GroupedSparseMatrix &g : *ops) {
+                // Borrowed mode, and every array points into the image —
+                // no packGroupedRows at borrow time, no copies.
+                EXPECT_TRUE(g.rows.values.borrowed()) << path;
+                EXPECT_TRUE(g.tiles.borrowed()) << path;
+                EXPECT_TRUE(g.band_ptr.borrowed()) << path;
+                EXPECT_TRUE(g.remainder.values.borrowed()) << path;
+                const auto *p = reinterpret_cast<const std::uint8_t *>(
+                    g.rows.values.data());
+                EXPECT_TRUE(p >= base && p <= end) << path;
+                EXPECT_TRUE(g.validated) << path;
+            }
         }
     }
 }
@@ -159,8 +169,7 @@ TEST_F(ModelArtifactTest, BorrowedVsOwnedForwardMemcmp)
 {
     const auto art = io::openArtifact(image_path_);
     for (std::int64_t i = 0; i < 2; ++i) {
-        const std::int64_t groups = std::max<std::int64_t>(
-            art->bakedGroups(i), 1);
+        const std::int64_t groups = art->bakedGroups(i);
         // Owned operand: packed fresh from the in-memory model.
         const CompressedLayer &cl =
             model_.layers[static_cast<std::size_t>(i)];
@@ -221,7 +230,7 @@ TEST_F(ModelArtifactTest, HeapFallbackMatchesMmap)
     const Tensor mapped = forwardLayer(*io::openArtifact(image_path_), 0,
                                        1, 5);
     io::setMvqiHeapFallback(true);
-    const auto art = std::make_unique<io::MmapArtifact>(image_path_);
+    const auto art = io::openArtifact(image_path_);
     EXPECT_FALSE(art->mapped());
     const Tensor heap = forwardLayer(*art, 0, 1, 5);
     io::setMvqiHeapFallback(saved);

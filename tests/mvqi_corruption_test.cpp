@@ -1,12 +1,14 @@
 /**
  * @file
- * MVQI corruption corpus: every malformed image must fail with a clear
- * FatalError (or, for benign payload flips, load correctly) — never
- * undefined behaviour, never a crash, never an escaped PanicError. The
- * targeted cases pin one diagnostic each (truncation, bad magic, wrong
- * version, misaligned section, out-of-range TOC, inconsistent counts,
- * semantically corrupt operands); the deterministic byte-flip sweep is
- * the fuzz-style pass the ASan/UBSan CI job runs over.
+ * Model-file corruption corpus: every malformed MVQI image or `.mvq`
+ * stream must fail with a clear FatalError (or, for benign payload
+ * flips, load correctly) — never undefined behaviour, never a crash,
+ * never an escaped PanicError. The targeted cases pin one diagnostic each
+ * (truncation, bad magic, wrong version, misaligned section, out-of-range
+ * TOC, inconsistent counts, semantically corrupt operands, assignments
+ * past their codebook, subvector counts the kernel shape contradicts);
+ * the deterministic byte-flip sweep is the fuzz-style pass the ASan/UBSan
+ * CI job runs over.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +19,8 @@
 
 #include "common/fault.hpp"
 #include "common/logging.hpp"
-#include "core/io/mmap_artifact.hpp"
 #include "core/io/model_artifact.hpp"
+#include "core/serialize.hpp"
 #include "mvqi_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
 #include "tensor/ops.hpp"
@@ -27,6 +29,7 @@ namespace mvq::core {
 namespace {
 
 const char *kPath = "/tmp/mvq_corruption_test.mvqi";
+const char *kStreamPath = "/tmp/mvq_corruption_test.mvq";
 
 std::vector<std::uint8_t>
 validImage()
@@ -37,18 +40,21 @@ validImage()
 }
 
 void
-writeBytes(const std::vector<std::uint8_t> &bytes)
+writeBytes(const std::vector<std::uint8_t> &bytes,
+           const char *path = kPath)
 {
-    std::ofstream out(kPath, std::ios::binary | std::ios::trunc);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char *>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
 }
 
-/** Open + validate + borrow + forward — the full untrusted-input path. */
+/** Open + validate + borrow + forward — the full untrusted-input path —
+ *  then one repack at a group count the image did not bake, which
+ *  materializes the model from the file's assignments and mask codes. */
 void
-loadAndUse()
+loadAndUse(const char *path = kPath)
 {
-    const auto art = io::openArtifact(kPath);
+    const auto art = io::openArtifact(path);
     for (std::int64_t i = 0; i < art->layerCount(); ++i) {
         const io::SharedOperands ops = art->packedOperands(i);
         const Shape ws = art->layerShape(i);
@@ -60,14 +66,15 @@ loadAndUse()
         x.fillNormal(rng, 0.0f, 1.0f);
         conv.forward(x);
     }
+    art->packedOperands(0, art->bakedGroups(0) == 1 ? 2 : 1);
 }
 
 /** Expect a FatalError whose message mentions `needle`. */
 void
-expectFatal(const std::string &needle)
+expectFatal(const std::string &needle, const char *path = kPath)
 {
     try {
-        loadAndUse();
+        loadAndUse(path);
         FAIL() << "corrupt image loaded; expected FatalError mentioning '"
                << needle << "'";
     } catch (const FatalError &e) {
@@ -83,6 +90,7 @@ class MvqiCorruptionTest : public ::testing::Test
     TearDown() override
     {
         std::remove(kPath);
+        std::remove(kStreamPath);
         fault::resetAll();
     }
 
@@ -196,15 +204,58 @@ TEST_F(MvqiCorruptionTest, SemanticOperandCorruption)
 
 TEST_F(MvqiCorruptionTest, OpenFaultSiteFailsCleanlyOnValidImage)
 {
-    // The artifact.open fault site models the OS refusing the mmap (ENOMEM,
-    // EMFILE, a vanished file): even with a perfectly valid image on disk
-    // the open must fail as a diagnosed FatalError, and the failure must
-    // not stick to the path — the next open serves normally.
+    // The artifact.open fault site models the OS refusing the open or
+    // mmap (ENOMEM, EMFILE, a vanished file): even with a perfectly valid
+    // file on disk the open must fail as a diagnosed FatalError, and the
+    // failure must not stick to the path — the next open serves
+    // normally. Both formats go through the one checkpoint.
     writeBytes(validImage());
-    fault::arm(fault::kArtifactOpen,
-               {/*nth=*/1, /*every=*/0, fault::FaultMode::Error});
-    expectFatal("injected fault at artifact.open");
-    EXPECT_NO_THROW(loadAndUse());
+    writeBytes(serializeModel(makeGoldenModel()), kStreamPath);
+    for (const char *path : {kPath, kStreamPath}) {
+        fault::arm(fault::kArtifactOpen,
+                   {/*nth=*/1, /*every=*/0, fault::FaultMode::Error});
+        expectFatal("injected fault at artifact.open", path);
+        EXPECT_NO_THROW(loadAndUse(path)) << path;
+    }
+}
+
+TEST_F(MvqiCorruptionTest, StreamAssignmentPastCodebookRejected)
+{
+    // A layer whose k (and so its assignment width) exceeds its
+    // codebook's: assignment 20 fits the 5-bit field but indexes past
+    // the 16-entry codebook. The open must reject it before any pack.
+    CompressedModel m = makeGoldenModel();
+    m.layers[0].cfg.k = 32;
+    m.layers[0].assignments[3] = 20;
+    writeBytes(serializeModel(m), kStreamPath);
+    expectFatal("out of range for its 16-entry codebook", kStreamPath);
+}
+
+TEST_F(MvqiCorruptionTest, StreamShortSubvectorCountRejected)
+{
+    // ng shorter than the [16, 2, 2, 2] kernel at d=16 implies (8): the
+    // pack would walk assignments and mask bits past their end.
+    CompressedModel m = makeGoldenModel();
+    CompressedLayer &l = m.layers[0];
+    l.assignments.resize(l.assignments.size() / 2);
+    l.mask_codes.resize(l.mask_codes.size() / 2);
+    writeBytes(serializeModel(m), kStreamPath);
+    expectFatal("implies 8", kStreamPath);
+}
+
+TEST_F(MvqiCorruptionTest, ImageAssignmentFlipRejectedOnRepack)
+{
+    // Baked operands never read the assignments, so one flipped
+    // assignment word is invisible until a non-baked group count
+    // materializes the model and repacks from it.
+    std::vector<std::uint8_t> img = validImage();
+    io::MvqiHeader h;
+    std::memcpy(&h, img.data(), sizeof(h));
+    io::MvqiLayer L;
+    std::memcpy(&L, img.data() + h.layer_toc_off, sizeof(L));
+    img[L.assignments.off + 3 * sizeof(std::int32_t) + 2] ^= 0xA5u;
+    writeBytes(img);
+    expectFatal("out of range for its 16-entry codebook");
 }
 
 TEST_F(MvqiCorruptionTest, TruncatedThenMmapThroughFaultSite)

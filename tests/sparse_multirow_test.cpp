@@ -3,10 +3,10 @@
  * Multi-row sparse micro-kernel coverage: the groupSparseRows bucketing
  * (tiles + remainder partition, adversarial bucket shapes), the grouped
  * gemm entry points vs gemmSparseAReference and — bit-for-bit — vs the
- * single-row path wherever the contract promises identity (knob off, no
- * tiles, below the crossover), the per-ISA multi-row kernels against the
- * scalar table, thread-count determinism, the MVQ_SPARSE_MULTIROW knob,
- * and the packGroupedRows conv path (grouped + strided).
+ * single-row path wherever the contract promises identity (no tiles,
+ * below the crossover), the per-ISA multi-row kernels against the scalar
+ * table, thread-count determinism, and the packGroupedRows conv path
+ * (single-row im2col composition, grouped + strided).
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +16,10 @@
 #include <cstring>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/simd_dispatch.hpp"
+#include "conv_oracle.hpp"
 #include "core/compressed_layer.hpp"
 #include "core/nm_pruning.hpp"
 #include "nn/compressed_conv2d.hpp"
@@ -40,11 +40,6 @@ struct IsaGuard
 struct ThreadGuard
 {
     ~ThreadGuard() { setNumThreads(0); }
-};
-
-struct MultiRowGuard
-{
-    ~MultiRowGuard() { setSparseMultiRowEnabled(true); }
 };
 
 std::vector<Isa>
@@ -291,38 +286,12 @@ TEST(SparseMultiRow, MixedTileAndRemainderMatchesReferenceAllIsas)
     }
 }
 
-TEST(SparseMultiRow, KnobOffReproducesSingleRowBitIdentically)
-{
-    IsaGuard guard;
-    MultiRowGuard mguard;
-    const std::int64_t m = 64, k = 288, n = 100;
-    Tensor a = blockPatternedMatrix(51, m, k);
-    const SparseRowMatrix sp = sparsifyRows(a);
-    const GroupedSparseMatrix g = groupSparseRows(sp, 16);
-    ASSERT_GT(g.tileNnz(), 0);
-    Rng rng(52);
-    Tensor b(Shape({k, n}));
-    b.fillNormal(rng, 0.0f, 1.0f);
-
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        setSparseMultiRowEnabled(true);
-        Tensor c_single(Shape({m, n}));
-        gemmSparseA(sp, b, c_single);
-        setSparseMultiRowEnabled(false);
-        Tensor c_off(Shape({m, n}));
-        gemmSparseA(g, b, c_off);
-        expectBitIdentical(c_single, c_off, simd::isaName(isa));
-        setSparseMultiRowEnabled(true);
-    }
-}
-
 TEST(SparseMultiRow, TileFreeOperandForwardsBitIdentically)
 {
     IsaGuard guard;
     // All patterns unique enough that nothing tiles (min_cols forced
-    // high): the grouped entry point must take the single-row path even
-    // with the knob on — same code, bit-identical.
+    // high): the grouped entry point must take the single-row path —
+    // same code, bit-identical.
     const std::int64_t m = 64, k = 288, n = 100;
     Tensor a = masked416Matrix(61, m, k);
     const SparseRowMatrix sp = sparsifyRows(a);
@@ -527,10 +496,9 @@ TEST(SparseMultiRow, PackGroupedRowsMatchesPackSparseRows)
     }
 }
 
-TEST(SparseMultiRow, CompressedConvKnobOffMatchesKnobOn)
+TEST(SparseMultiRow, CompressedConvMatchesSingleRowComposition)
 {
     IsaGuard guard;
-    MultiRowGuard mguard;
     CompressedFixture f(Shape({32, 8, 3, 3}), 131, /*concentrate=*/true);
 
     const nn::CompressedConv2d conv(f.layer, f.cb, 1, 1);
@@ -541,11 +509,18 @@ TEST(SparseMultiRow, CompressedConvKnobOffMatchesKnobOn)
     Tensor x(Shape({2, 8, 14, 14}));
     x.fillNormal(rng, 0.0f, 1.0f);
 
+    // Oracle: the single-row sparse gemm over the embedded full operand,
+    // composed with a materialized im2col per (batch, group).
+    const ConvGeom g{8, 14, 14, 3, 3, 1, 1};
+    const std::int64_t ohw = g.outH() * g.outW();
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
-        setSparseMultiRowEnabled(false);
-        const Tensor ref = conv.forward(x);
-        setSparseMultiRowEnabled(true);
+        const Tensor ref = im2colConv(
+            x, 32, 1, g,
+            [&](std::int64_t grp, const float *cols, float *out) {
+                gemmSparseARaw(conv.groupedOperand(grp).rows, cols, ohw,
+                               ohw, 1.0f, 0.0f, out, ohw);
+            });
         const Tensor got = conv.forward(x);
         ASSERT_EQ(ref.shape(), got.shape());
         expectClose(ref, got, simd::isaName(isa));
@@ -572,18 +547,6 @@ TEST(SparseMultiRow, GroupedStridedConvMatchesDensifiedForward)
         ASSERT_EQ(ref.shape(), got.shape()) << simd::isaName(isa);
         expectClose(ref, got, simd::isaName(isa));
     }
-}
-
-TEST(SparseMultiRow, KnobDefaultsOnAndToggles)
-{
-    MultiRowGuard mguard;
-    if (!env::isSet("MVQ_SPARSE_MULTIROW")) {
-        EXPECT_TRUE(sparseMultiRowEnabled());
-    }
-    setSparseMultiRowEnabled(false);
-    EXPECT_FALSE(sparseMultiRowEnabled());
-    setSparseMultiRowEnabled(true);
-    EXPECT_TRUE(sparseMultiRowEnabled());
 }
 
 } // namespace
