@@ -24,7 +24,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -32,8 +31,7 @@
 #include "common/env.hpp"
 #include "common/table.hpp"
 #include "core/io/model_artifact.hpp"
-#include "core/mask_codec.hpp"
-#include "models/layer_spec.hpp"
+#include "models/synthetic.hpp"
 
 namespace {
 
@@ -49,68 +47,12 @@ nowMs()
 }
 
 /**
- * Synthesize a compressed model with the exact conv geometry of `spec`.
- * Weight values never matter for load cost — only symbol counts do — so
- * assignments and mask codes are drawn from a fixed-seed mt19937.
- */
-CompressedModel
-synthesizeModel(const models::ModelSpec &spec, io::MvqiWriteOptions *opts,
-                std::vector<std::int64_t> *conv_groups)
-{
-    CompressedModel model;
-    std::mt19937 rng(12345);
-
-    Codebook cb;
-    cb.qbits = 8;
-    cb.scale = 1.0f / 64.0f;
-    cb.codewords = Tensor(Shape({256, 16}));
-    for (std::int64_t i = 0; i < cb.codewords.numel(); ++i)
-        cb.codewords[i] =
-            static_cast<float>(static_cast<int>(rng() % 255) - 127)
-            * cb.scale;
-    model.codebooks.push_back(std::move(cb));
-
-    const MaskCodec codec(NmPattern{4, 16});
-    for (const models::ConvLayerSpec &c : spec.convs) {
-        if (c.weightCount() % 16 != 0)
-            continue; // not d=16-groupable (e.g. the 1000-way head)
-        CompressedLayer l;
-        l.name = c.name;
-        l.weight_shape =
-            Shape({c.out_c, c.in_c / c.groups, c.kernel, c.kernel});
-        l.cfg.k = 256;
-        l.cfg.d = 16;
-        l.cfg.pattern = NmPattern{4, 16};
-        l.cfg.grouping = Grouping::OutputChannelWise;
-        l.cfg.codebook_bits = 8;
-        l.codebook_id = 0;
-        l.dense_flops = 2 * c.macs();
-        const std::int64_t ng = l.weight_shape.numel() / l.cfg.d;
-        l.assignments.reserve(static_cast<std::size_t>(ng));
-        for (std::int64_t j = 0; j < ng; ++j)
-            l.assignments.push_back(
-                static_cast<std::int32_t>(rng() % 256));
-        const std::int64_t codes = ng * (l.cfg.d / 16);
-        l.mask_codes.reserve(static_cast<std::size_t>(codes));
-        for (std::int64_t j = 0; j < codes; ++j)
-            l.mask_codes.push_back(static_cast<std::uint32_t>(
-                rng() % codec.codeCount()));
-        if (opts != nullptr)
-            opts->layer_groups[l.name] = c.groups;
-        conv_groups->push_back(c.groups);
-        model.layers.push_back(std::move(l));
-    }
-    return model;
-}
-
-/**
  * Open `path` and materialize forward-ready operands for every layer,
  * at the conv group counts the serving architecture dictates (the MVQI
  * image bakes exactly these, so its path stays zero-copy).
  */
 std::vector<io::SharedOperands>
-coldLoad(const std::string &path,
-         const std::vector<std::int64_t> &conv_groups, double *ms)
+coldLoad(const std::string &path, const models::ModelSpec &spec, double *ms)
 {
     const double t0 = nowMs();
     const auto art = io::openArtifact(path);
@@ -118,7 +60,7 @@ coldLoad(const std::string &path,
     out.reserve(static_cast<std::size_t>(art->layerCount()));
     for (std::int64_t i = 0; i < art->layerCount(); ++i)
         out.push_back(art->packedOperands(
-            i, conv_groups[static_cast<std::size_t>(i)]));
+            i, spec.convs[static_cast<std::size_t>(i)].groups));
     *ms = nowMs() - t0;
     // The operands keep the backing image alive past `art`.
     return out;
@@ -171,9 +113,11 @@ struct LoadResult
 LoadResult
 benchOne(const models::ModelSpec &spec, int repeats)
 {
+    // Load cost depends on symbol counts, not values: synthetic symbols
+    // over the exact conv geometry of `spec`.
     io::MvqiWriteOptions opts;
-    std::vector<std::int64_t> conv_groups;
-    const CompressedModel model = synthesizeModel(spec, &opts, &conv_groups);
+    const CompressedModel model = models::synthesizeCompressed(
+        spec, NmPattern{4, 16}, 256, /*seed=*/12345, &opts);
     const std::string stream_path =
         "/tmp/mvq_load_bench_" + spec.name + ".mvq";
     const std::string mvqi_path =
@@ -193,9 +137,9 @@ benchOne(const models::ModelSpec &spec, int repeats)
     std::vector<io::SharedOperands> from_stream, from_mvqi;
     for (int it = 0; it < repeats; ++it) {
         double ms = 0.0;
-        from_stream = coldLoad(stream_path, conv_groups, &ms);
+        from_stream = coldLoad(stream_path, spec, &ms);
         r.stream_ms = std::min(r.stream_ms, ms);
-        from_mvqi = coldLoad(mvqi_path, conv_groups, &ms);
+        from_mvqi = coldLoad(mvqi_path, spec, &ms);
         r.mvqi_ms = std::min(r.mvqi_ms, ms);
     }
     r.identical = operandsIdentical(from_stream, from_mvqi);

@@ -2,6 +2,13 @@
  * @file
  * Closed-loop load generator for the batched serving runtime.
  *
+ * The served model is models::edgeServeSpec(), the 3-layer 8x8 conv
+ * stack, with every layer synthesized at 4:16 and k=256 by
+ * models::synthesizeCompressed. It is small enough that per-forward
+ * fixed costs (batcher wakeup, pool fan-out/join, tensor allocation) are
+ * a visible share of a single-image forward: the regime batching exists
+ * for.
+ *
  * N client threads each submit one image, block on the future, and
  * immediately submit the next — classic closed-loop offered load. The
  * server coalesces admissions into batched forwards over a shared
@@ -40,7 +47,7 @@
 #include "common/random.hpp"
 #include "common/table.hpp"
 #include "core/io/model_artifact.hpp"
-#include "core/mask_codec.hpp"
+#include "models/synthetic.hpp"
 #include "nn/compressed_net.hpp"
 #include "serve/server.hpp"
 
@@ -48,64 +55,6 @@ namespace {
 
 using namespace mvq;
 using namespace mvq::core;
-
-/**
- * Chainable three-layer compressed conv stack: [16, 8, 3, 3] 4:16
- * feeding two [16, 16, 3, 3] 2:4 layers, all stride 1 / pad 1 over
- * 8x8 images. Sized like the per-request slice of an edge-serving
- * model: small enough that per-forward fixed costs (batcher wakeup,
- * pool fan-out/join, tensor allocation) are a visible fraction of a
- * single-image forward — exactly the regime batching exists for.
- */
-CompressedModel
-synthesizeServeModel()
-{
-    CompressedModel model;
-    Rng rng(777);
-
-    Codebook cb;
-    cb.qbits = 8;
-    cb.scale = 1.0f / 64.0f;
-    cb.codewords = Tensor(Shape({256, 16}));
-    for (std::int64_t i = 0; i < cb.codewords.numel(); ++i)
-        cb.codewords[i] =
-            static_cast<float>(rng.intIn(-127, 127)) * cb.scale;
-    model.codebooks.push_back(std::move(cb));
-
-    const struct
-    {
-        const char *name;
-        std::int64_t out_c, in_c;
-        NmPattern pattern;
-    } specs[] = {
-        {"serve0", 16, 8, NmPattern{4, 16}},
-        {"serve1", 16, 16, NmPattern{2, 4}},
-        {"serve2", 16, 16, NmPattern{2, 4}},
-    };
-    for (const auto &s : specs) {
-        CompressedLayer l;
-        l.name = s.name;
-        l.weight_shape = Shape({s.out_c, s.in_c, 3, 3});
-        l.cfg.k = 256;
-        l.cfg.d = 16;
-        l.cfg.pattern = s.pattern;
-        l.cfg.grouping = Grouping::OutputChannelWise;
-        l.cfg.codebook_bits = 8;
-        l.codebook_id = 0;
-        l.dense_flops = 2 * l.weight_shape.numel();
-        const std::int64_t ng = l.weight_shape.numel() / l.cfg.d;
-        const MaskCodec codec(l.cfg.pattern);
-        for (std::int64_t j = 0; j < ng; ++j)
-            l.assignments.push_back(
-                static_cast<std::int32_t>(rng.intIn(0, 255)));
-        const std::int64_t codes = ng * (l.cfg.d / l.cfg.pattern.m);
-        for (std::int64_t j = 0; j < codes; ++j)
-            l.mask_codes.push_back(static_cast<std::uint32_t>(
-                rng.intIn(0, codec.codeCount() - 1)));
-        model.layers.push_back(std::move(l));
-    }
-    return model;
-}
 
 struct RunResult
 {
@@ -216,7 +165,11 @@ main(int argc, char **argv)
         setNumThreads(4);
 
     const std::string path = "/tmp/mvq_serve_load.mvqi";
-    io::saveArtifact(synthesizeServeModel(), path, io::ArtifactFormat::Mvqi);
+    io::MvqiWriteOptions write_opts;
+    io::saveArtifact(models::synthesizeCompressed(models::edgeServeSpec(),
+                                                  NmPattern{4, 16}, 256,
+                                                  /*seed=*/777, &write_opts),
+                     path, io::ArtifactFormat::Mvqi, write_opts);
     const auto artifact = io::openArtifact(path);
     const nn::CompressedNet net(*artifact);
 

@@ -22,6 +22,12 @@ compiler nor clang-tidy sees them):
   5. banned      — raw std::getenv/setenv (outside src/common/env.cpp),
      rand/srand (outside src/common/random.*), printf in src/ (use
      common/logging; bench mains and examples may print).
+  6. synth-symbols — appending to a CompressedLayer's assignments or
+     mask_codes (`.assignments.push_back(`, `.mask_codes.emplace_back(`,
+     ...) is allowed only under src/ and in tests/mvqi_test_util.hpp
+     (the byte-pinned golden model). Benches and tests that need a
+     synthetic compressed model call models::synthesizeCompressed
+     instead of hand-rolling its symbols.
 
 Run from anywhere inside the repo (ctest runs it as `mvq_lint`); use
 --selftest to run the checks against tests/lint_fixtures/ and assert
@@ -44,6 +50,7 @@ DISPATCH_TABLES = {
     "src/common/simd_avx2.cpp": "kAvx2Kernels",
     "src/common/simd_neon.cpp": "kNeonKernels",
 }
+SYNTH_ALLOWED = {"tests/mvqi_test_util.hpp"}
 FIXTURE_DIR = "tests/lint_fixtures"
 CODE_SUFFIXES = (".cpp", ".hpp")
 CODE_DIRS = ("src/", "tests/", "bench/", "examples/")
@@ -62,6 +69,9 @@ GUARD_DEFINE_RE = re.compile(r"^\s*#define\s+(\w+)", re.MULTILINE)
 GETENV_RE = re.compile(r"\b(?:std::)?(?:getenv|setenv|unsetenv|putenv)\s*\(")
 RAND_RE = re.compile(r"\b(?:std::)?s?rand\s*\(")
 PRINTF_RE = re.compile(r"\bprintf\s*\(")
+SYNTH_RE = re.compile(
+    r"(?:\.|->)\s*(?:assignments|mask_codes)\s*\.\s*(?:push|emplace)_back"
+    r"\s*\(")
 
 
 def repo_root() -> Path:
@@ -222,6 +232,15 @@ def check_banned(path: str, text: str) -> list[str]:
     return errors
 
 
+def check_synth_symbols(path: str, text: str) -> list[str]:
+    if path.startswith("src/") or path in SYNTH_ALLOWED:
+        return []
+    return [f"{path}:{line_of(text, m.start())}: hand-rolled compressed "
+            f"symbols ('{m.group(0)}'); build synthetic models with "
+            "models::synthesizeCompressed (models/synthetic.hpp)"
+            for m in SYNTH_RE.finditer(text)]
+
+
 # --------------------------------------------------------- repo driver
 
 def code_files(files: list[str]) -> list[str]:
@@ -266,6 +285,7 @@ def lint_repo(root: Path) -> list[str]:
         if rel.endswith(".hpp") and rel.startswith("src/"):
             errors.extend(check_header_guard(rel, text))
         errors.extend(check_banned(rel, text))
+        errors.extend(check_synth_symbols(rel, text))
 
     for rel, table in DISPATCH_TABLES.items():
         text = strip_comments(read_rel(root, rel))
@@ -300,6 +320,9 @@ def selftest(root: Path) -> int:
         "bad_printf_rand.cpp": (
             "src/tensor/bad_printf_rand.cpp",
             lambda p, t: check_banned(p, t)),
+        "bad_synth.cpp": (
+            "bench/bad_synth.cpp",
+            lambda p, t: check_synth_symbols(p, t)),
     }
     failures = []
     fixture_root = root / FIXTURE_DIR
@@ -322,7 +345,8 @@ def selftest(root: Path) -> int:
             '#endif // MVQ_TENSOR_GOOD_HPP\n')
     noise = (check_intrinsics("src/tensor/good.hpp", good)
              + check_banned("src/tensor/good.hpp", good)
-             + check_header_guard("src/tensor/good.hpp", good))
+             + check_header_guard("src/tensor/good.hpp", good)
+             + check_synth_symbols("tests/good.cpp", good))
     if noise:
         failures.append("clean snippet falsely flagged: " + noise[0])
 

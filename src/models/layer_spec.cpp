@@ -318,6 +318,16 @@ efficientnetB0Spec()
 }
 
 ModelSpec
+edgeServeSpec()
+{
+    SpecBuilder b("edge_serve", 8, 8);
+    b.conv("serve0", 16, 3, 1, 1);
+    b.conv("serve1", 16, 3, 1, 1);
+    b.conv("serve2", 16, 3, 1, 1);
+    return b.build();
+}
+
+ModelSpec
 modelSpecByName(const std::string &name)
 {
     if (name == "resnet18")

@@ -110,6 +110,15 @@ ModelSpec mobilenetV2Spec();
 /** EfficientNet-B0 without SE blocks, 224x224 (~0.39 GMACs). */
 ModelSpec efficientnetB0Spec();
 
+/**
+ * The 3-layer edge-serving stack: serve0 [16, 8, 3, 3] feeding serve1 and
+ * serve2 [16, 16, 3, 3], all stride 1 / pad 1 over 8x8 images, so an
+ * [8, H, W] image keeps its spatial size through the chain. Sized so a
+ * forward's fixed per-batch costs are a visible share of its time — the
+ * regime batched serving exists for.
+ */
+ModelSpec edgeServeSpec();
+
 /** Look up a spec by lowercase name (resnet18, vgg16, ...). */
 ModelSpec modelSpecByName(const std::string &name);
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "clustered_fixture.hpp"
 #include "common/logging.hpp"
 #include "core/compressed_layer.hpp"
 #include "nn/conv2d.hpp"
@@ -16,50 +17,15 @@
 namespace mvq::core {
 namespace {
 
-/** Build a compressed layer by actually clustering a random kernel. */
-struct Fixture
-{
-    Shape shape{Shape({32, 4, 3, 3})};
-    MvqLayerConfig cfg;
-    Tensor w4;
-    Mask mask;
-    KmeansResult km;
-    CompressedLayer layer;
-    Codebook cb;
-
-    Fixture()
-    {
-        cfg.k = 16;
-        cfg.d = 16;
-        cfg.pattern = NmPattern{4, 16};
-        cfg.codebook_bits = 8;
-
-        Rng rng(131);
-        w4 = Tensor(shape);
-        w4.fillNormal(rng, 0.0f, 1.0f);
-        Tensor wr = groupWeights(w4, cfg.d, cfg.grouping);
-        mask = nmMask(wr, cfg.pattern);
-        applyMask(wr, mask);
-
-        KmeansConfig kc;
-        kc.k = cfg.k;
-        km = maskedKmeans(wr, mask, kc);
-        cb.codewords = km.codebook;
-        quantizeCodebook(cb, cfg.codebook_bits);
-
-        layer = makeCompressedLayer("conv", shape, cfg, mask, km, 0);
-    }
-};
-
 TEST(CompressedLayer, MaskDecodeRoundTrip)
 {
-    Fixture f;
+    ClusteredFixture f;
     EXPECT_EQ(f.layer.decodeMask(), f.mask);
 }
 
 TEST(CompressedLayer, ReconstructMatchesGroupedReconstruction)
 {
-    Fixture f;
+    ClusteredFixture f;
     Tensor via_layer = f.layer.reconstruct(f.cb);
     Tensor wr = reconstructGrouped(f.cb.codewords, f.km.assignments,
                                    f.mask);
@@ -69,7 +35,7 @@ TEST(CompressedLayer, ReconstructMatchesGroupedReconstruction)
 
 TEST(CompressedLayer, DenseReconstructIgnoresMask)
 {
-    Fixture f;
+    ClusteredFixture f;
     Tensor dense = f.layer.reconstructDense(f.cb);
     Tensor sparse = f.layer.reconstruct(f.cb);
     EXPECT_GE(sparse.countZeros(), dense.countZeros());
@@ -77,7 +43,7 @@ TEST(CompressedLayer, DenseReconstructIgnoresMask)
 
 TEST(CompressedLayer, StorageAccountingMatchesHandComputation)
 {
-    Fixture f;
+    ClusteredFixture f;
     const std::int64_t ng = f.shape.numel() / f.cfg.d; // 72
     StorageCost cost = f.layer.assignmentStorage();
     EXPECT_EQ(cost.weight_count, f.shape.numel());
@@ -88,7 +54,7 @@ TEST(CompressedLayer, StorageAccountingMatchesHandComputation)
 
 TEST(CompressedLayer, Eq7CompressionRatio)
 {
-    Fixture f;
+    ClusteredFixture f;
     CompressedModel cm;
     cm.layers.push_back(f.layer);
     cm.codebooks.push_back(f.cb);
@@ -111,7 +77,7 @@ TEST(CompressedLayer, Eq7CompressionRatio)
 
 TEST(CompressedLayer, DenseReconstructDropsMaskStorage)
 {
-    Fixture f;
+    ClusteredFixture f;
     CompressedModel cm;
     cm.layers.push_back(f.layer);
     cm.codebooks.push_back(f.cb);
@@ -121,7 +87,7 @@ TEST(CompressedLayer, DenseReconstructDropsMaskStorage)
 
 TEST(CompressedLayer, SparseFlopsScaleWithPattern)
 {
-    Fixture f;
+    ClusteredFixture f;
     CompressedLayer layer = f.layer;
     layer.dense_flops = 1000;
     EXPECT_EQ(layer.sparseFlops(), 250); // 4:16 keeps 1/4
@@ -129,7 +95,7 @@ TEST(CompressedLayer, SparseFlopsScaleWithPattern)
 
 TEST(CompressedModel, ApplyToMatchesByName)
 {
-    Fixture f;
+    ClusteredFixture f;
     CompressedModel cm;
     cm.layers.push_back(f.layer);
     cm.codebooks.push_back(f.cb);
@@ -151,7 +117,7 @@ TEST(CompressedModel, ApplyToMatchesByName)
 
 TEST(CompressedModel, CrosslayerCodebookCountedOnce)
 {
-    Fixture f;
+    ClusteredFixture f;
     CompressedModel cm;
     cm.layers.push_back(f.layer);
     CompressedLayer second = f.layer;
@@ -166,7 +132,7 @@ TEST(CompressedModel, CrosslayerCodebookCountedOnce)
 
 TEST(CompressedLayer, MismatchedInputsRejected)
 {
-    Fixture f;
+    ClusteredFixture f;
     KmeansResult bad = f.km;
     bad.assignments.pop_back();
     EXPECT_THROW(

@@ -16,6 +16,7 @@
 #include <cstring>
 #include <vector>
 
+#include "clustered_fixture.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/simd_dispatch.hpp"
@@ -383,38 +384,6 @@ TEST(FusedPack, Conv2dForwardFusedMatchesUnfused)
     }
 }
 
-/** Build a clustered 4:16 compressed layer for the conv tests. */
-struct CompressedFixture
-{
-    Shape shape;
-    core::MvqLayerConfig cfg;
-    core::CompressedLayer layer;
-    core::Codebook cb;
-
-    explicit CompressedFixture(Shape s, std::uint64_t seed)
-        : shape(std::move(s))
-    {
-        cfg.k = 16;
-        cfg.d = 16;
-        cfg.pattern = core::NmPattern{4, 16};
-        cfg.codebook_bits = 8;
-
-        Rng rng(seed);
-        Tensor w4(shape);
-        w4.fillNormal(rng, 0.0f, 1.0f);
-        Tensor wr = core::groupWeights(w4, cfg.d, cfg.grouping);
-        core::Mask mask = core::nmMask(wr, cfg.pattern);
-        core::applyMask(wr, mask);
-
-        core::KmeansConfig kc;
-        kc.k = cfg.k;
-        const core::KmeansResult km = core::maskedKmeans(wr, mask, kc);
-        cb.codewords = km.codebook;
-        core::quantizeCodebook(cb, cfg.codebook_bits);
-        layer = core::makeCompressedLayer("conv", shape, cfg, mask, km, 0);
-    }
-};
-
 /** im2col + grouped gemmSparseARaw per (batch, group) over the conv's
  *  own packed operands. */
 Tensor
@@ -437,13 +406,13 @@ TEST(FusedPack, CompressedConv2dFusedMatchesUnfused)
 {
     IsaGuard iguard;
     // Grouped (groups=2) and strided (stride 2, pad 1) compressed convs.
-    CompressedFixture grouped(Shape({16, 2, 3, 3}), 91);
+    ClusteredFixture grouped(Shape({16, 2, 3, 3}), 91);
     const nn::CompressedConv2d conv_g(grouped.layer, grouped.cb, 1, 1, 2);
     Rng rng(92);
     Tensor xg(Shape({3, 4, 9, 9}));
     xg.fillNormal(rng, 0.0f, 1.0f);
 
-    CompressedFixture strided(Shape({16, 8, 3, 3}), 93);
+    ClusteredFixture strided(Shape({16, 8, 3, 3}), 93);
     const nn::CompressedConv2d conv_s(strided.layer, strided.cb, 2, 1);
     Tensor xs(Shape({2, 8, 12, 12}));
     xs.fillNormal(rng, 0.0f, 1.0f);

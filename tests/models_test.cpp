@@ -1,17 +1,20 @@
 /**
  * @file
  * Model-zoo tests: full-size layer tables must reproduce the published
- * MAC and parameter counts of each architecture, and every mini model
- * must train-forward with the right shapes.
+ * MAC and parameter counts of each architecture, the synthetic-model
+ * builder must turn any table into a valid compressed model, and every
+ * mini model must train-forward with the right shapes.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.hpp"
+#include "core/io/mvqi_format.hpp"
 #include "core/pipeline.hpp"
 #include "models/detector.hpp"
 #include "models/layer_spec.hpp"
 #include "models/mini_models.hpp"
+#include "models/synthetic.hpp"
 #include "nn/network.hpp"
 
 namespace mvq::models {
@@ -86,6 +89,100 @@ TEST(ZooSpec, UnknownNameFatal)
 {
     EXPECT_THROW(modelSpecByName("lenet"), FatalError);
     EXPECT_EQ(hardwareEvalSpecs().size(), 5u);
+}
+
+TEST(ZooSpec, EdgeServeChainsAtConstantSize)
+{
+    const ModelSpec spec = edgeServeSpec();
+    ASSERT_EQ(spec.convs.size(), 3u);
+    EXPECT_EQ(spec.convs[0].in_c, 8);
+    for (const auto &c : spec.convs) {
+        EXPECT_EQ(c.out_c, 16) << c.name;
+        EXPECT_EQ(c.outH(), 8) << c.name;
+        EXPECT_EQ(c.groups, 1) << c.name;
+    }
+    EXPECT_EQ(spec.convs[1].in_c, 16);
+    EXPECT_TRUE(spec.fcs.empty());
+}
+
+// --------------------------------------------------- synthetic models
+
+TEST(Synthetic, SeedDeterminesTheImage)
+{
+    const auto image = [](std::uint64_t seed) {
+        core::io::MvqiWriteOptions opts;
+        return core::io::buildMvqiImage(
+            synthesizeCompressed(edgeServeSpec(), core::NmPattern{4, 16},
+                                 256, seed, &opts),
+            opts);
+    };
+    EXPECT_EQ(image(5), image(5));
+    EXPECT_NE(image(5), image(6));
+}
+
+TEST(Synthetic, ValidAcrossPatternsAndCodebookSizes)
+{
+    const ModelSpec spec = edgeServeSpec();
+    for (const core::NmPattern p :
+         {core::NmPattern{4, 16}, core::NmPattern{2, 4},
+          core::NmPattern{1, 2}, core::NmPattern{2, 8},
+          core::NmPattern{1, 1}}) {
+        for (const std::int64_t k : {7, 256}) {
+            const std::string what = std::to_string(p.n) + ":"
+                + std::to_string(p.m) + " k=" + std::to_string(k);
+            const core::CompressedModel m =
+                synthesizeCompressed(spec, p, k, 3);
+            EXPECT_NO_THROW(m.validate(what));
+            ASSERT_EQ(m.codebooks.size(), 1u) << what;
+            EXPECT_EQ(m.codebooks[0].codewords.shape(), Shape({k, 16}))
+                << what;
+            ASSERT_EQ(m.layers.size(), spec.convs.size()) << what;
+            for (std::size_t i = 0; i < m.layers.size(); ++i) {
+                const core::CompressedLayer &l = m.layers[i];
+                EXPECT_EQ(l.ng(), spec.convs[i].weightCount() / 16) << what;
+                EXPECT_EQ(static_cast<std::int64_t>(l.mask_codes.size()),
+                          l.ng() * (16 / p.m))
+                    << what;
+                EXPECT_EQ(l.dense_flops, 2 * spec.convs[i].macs()) << what;
+            }
+        }
+    }
+}
+
+TEST(Synthetic, FullNetworksRecordConvGroups)
+{
+    // Every conv of both benchmark networks is d=16-groupable, and the
+    // write options carry each conv's groups (in_c for depthwise).
+    for (const ModelSpec &spec : {resnet18Spec(), mobilenetV1Spec()}) {
+        core::io::MvqiWriteOptions opts;
+        const core::CompressedModel m = synthesizeCompressed(
+            spec, core::NmPattern{4, 16}, 256, 1, &opts);
+        ASSERT_EQ(m.layers.size(), spec.convs.size()) << spec.name;
+        int depthwise = 0;
+        for (const ConvLayerSpec &c : spec.convs) {
+            EXPECT_EQ(opts.layer_groups.at(c.name), c.groups) << c.name;
+            if (c.isDepthwise()) {
+                ++depthwise;
+                EXPECT_EQ(opts.layer_groups.at(c.name), c.in_c) << c.name;
+            }
+        }
+        EXPECT_EQ(depthwise, spec.name == "mobilenet_v1" ? 13 : 0);
+    }
+}
+
+TEST(Synthetic, RejectsBadInput)
+{
+    ModelSpec spec;
+    spec.name = "odd";
+    spec.convs.push_back({"odd", 1, 1, 3, 1, 1, 1, 8, 8}); // 9 weights
+    EXPECT_THROW(synthesizeCompressed(spec, core::NmPattern{4, 16}, 256, 1),
+                 FatalError);
+    EXPECT_THROW(synthesizeCompressed(edgeServeSpec(), core::NmPattern{2, 5},
+                                      256, 1),
+                 FatalError); // M does not divide d = 16
+    EXPECT_THROW(synthesizeCompressed(edgeServeSpec(), core::NmPattern{4, 16},
+                                      0, 1),
+                 FatalError);
 }
 
 class MiniModelForward

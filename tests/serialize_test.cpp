@@ -1,8 +1,9 @@
 /**
  * @file
  * Serialization tests: bit-stream round trips, full-model round trips
- * with exact reconstruction equality, and file size vs the Eq. 7
- * storage accounting.
+ * with exact reconstruction equality (across N:M patterns and codebook
+ * sizes, on synthetic symbols), and file size vs the Eq. 7 storage
+ * accounting.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +12,8 @@
 
 #include "common/logging.hpp"
 #include "core/io/model_artifact.hpp"
-#include "core/pipeline.hpp"
 #include "core/serialize.hpp"
-#include "nn/conv2d.hpp"
-#include "nn/network.hpp"
+#include "models/synthetic.hpp"
 #include "tensor/ops.hpp"
 
 namespace mvq::core {
@@ -54,35 +53,15 @@ TEST(BitStream, BitCountMatches)
     EXPECT_EQ(w.bitCount(), 16);
 }
 
-/** Build a real compressed model from a clustered random kernel. */
+/** A one-conv model with synthetic symbols. */
 CompressedModel
-makeModel()
+makeModel(NmPattern pattern = NmPattern{4, 16}, std::int64_t k = 32,
+          std::int64_t in_c = 8, std::uint64_t seed = 221)
 {
-    Rng rng(221);
-    Tensor w4(Shape({32, 8, 3, 3}));
-    w4.fillNormal(rng, 0.0f, 0.5f);
-
-    MvqLayerConfig cfg;
-    cfg.k = 32;
-    cfg.d = 16;
-    cfg.pattern = NmPattern{4, 16};
-    Tensor wr = groupWeights(w4, cfg.d, cfg.grouping);
-    Mask mask = nmMask(wr, cfg.pattern);
-    applyMask(wr, mask);
-    KmeansConfig kc;
-    kc.k = cfg.k;
-    KmeansResult km = maskedKmeans(wr, mask, kc);
-
-    CompressedModel model;
-    Codebook cb;
-    cb.codewords = km.codebook;
-    quantizeCodebook(cb, 8);
-    model.codebooks.push_back(cb);
-    CompressedLayer layer =
-        makeCompressedLayer("conv", w4.shape(), cfg, mask, km, 0);
-    layer.dense_flops = 123456;
-    model.layers.push_back(std::move(layer));
-    return model;
+    models::ModelSpec spec;
+    spec.name = "serialize";
+    spec.convs.push_back({"conv", 32, in_c, 3, 1, 1, 1, 8, 8});
+    return models::synthesizeCompressed(spec, pattern, k, seed);
 }
 
 TEST(Serialize, ModelRoundTripExact)
@@ -145,34 +124,14 @@ class SerializeSweep
 TEST_P(SerializeSweep, RoundTripAcrossConfigs)
 {
     const auto [n, m, k] = GetParam();
-    Rng rng(223);
-    Tensor w4(Shape({32, 4, 3, 3}));
-    w4.fillNormal(rng, 0.0f, 0.5f);
-
-    MvqLayerConfig cfg;
-    cfg.k = k;
-    cfg.d = 16;
-    cfg.pattern = NmPattern{n, m};
-    Tensor wr = groupWeights(w4, cfg.d, cfg.grouping);
-    Mask mask = nmMask(wr, cfg.pattern);
-    applyMask(wr, mask);
-    KmeansConfig kc;
-    kc.k = k;
-    KmeansResult km = maskedKmeans(wr, mask, kc);
-
-    CompressedModel model;
-    Codebook cb;
-    cb.codewords = km.codebook;
-    quantizeCodebook(cb, 8);
-    model.codebooks.push_back(cb);
-    model.layers.push_back(
-        makeCompressedLayer("c", w4.shape(), cfg, mask, km, 0));
+    const CompressedModel model = makeModel(NmPattern{n, m}, k, 4, 223);
 
     CompressedModel back = deserializeModel(serializeModel(model));
     EXPECT_FLOAT_EQ(
         maxAbsDiff(model.reconstructLayer(0), back.reconstructLayer(0)),
         0.0f);
     EXPECT_EQ(back.layers[0].assignments, model.layers[0].assignments);
+    EXPECT_EQ(back.layers[0].mask_codes, model.layers[0].mask_codes);
 }
 
 INSTANTIATE_TEST_SUITE_P(

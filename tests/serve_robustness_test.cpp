@@ -31,8 +31,8 @@
 #include "common/fault.hpp"
 #include "common/logging.hpp"
 #include "core/io/model_artifact.hpp"
+#include "models/synthetic.hpp"
 #include "serve/server.hpp"
-#include "serve_test_util.hpp"
 
 namespace mvq::serve {
 namespace {
@@ -228,9 +228,12 @@ TEST_F(ServeRobustnessTest, PastDeadlineIsAdmittedThenExpired)
 
 TEST_F(ServeRobustnessTest, ExpiredRequestsDoNotPoisonTheBatch)
 {
-    // Two requests, one with a reachable deadline. Expiring it must not
-    // touch the survivor, which then serves by batch-size launch.
-    RigidServer f(/*max_batch=*/2, /*deadline_us=*/1000000,
+    // Two requests, one with a reachable deadline. max_batch is 3 so the
+    // queue never fills a batch: nothing can launch before the expiry,
+    // whatever the thread schedule. Expiring the doomed request must not
+    // touch the survivor, which then serves with a later mate on the
+    // survivor's flush deadline.
+    RigidServer f(/*max_batch=*/3, /*deadline_us=*/1000,
                   /*max_queue=*/16);
     auto doomed =
         f.server->submitWithDeadline(taggedImage(f.chw, 1.0f), 500);
@@ -239,10 +242,11 @@ TEST_F(ServeRobustnessTest, ExpiredRequestsDoNotPoisonTheBatch)
     f.clock->advance(500);
     expectRejected([&] { (void)doomed.get(); },
                    RejectReason::DeadlineExpired);
-    // One slot now free forever (max_batch 2, one queued): submit the
-    // second half of the batch and both serve.
     auto mate = f.server->submitWithDeadline(taggedImage(f.chw, 3.0f),
                                              kNoDeadline);
+    // Two queued of three: only the flush deadline (survivor admitted at
+    // t=0, so t=1000) launches them, together.
+    f.clock->advance(500);
     EXPECT_TRUE(tensorsBitIdentical(
         survivor.get(), affineEcho(taggedImage(f.chw, 2.0f))));
     EXPECT_TRUE(tensorsBitIdentical(
@@ -423,9 +427,12 @@ class ServeArtifactFaultTest : public ServeRobustnessTest
     {
         ServeRobustnessTest::SetUp();
         path_ = "/tmp/mvq_serve_robustness_test.mvqi";
-        core::io::saveArtifact(core::makeServeModel(), path_,
-                               core::io::ArtifactFormat::Mvqi,
-                               core::serveWriteOptions());
+        core::io::MvqiWriteOptions write_opts;
+        core::io::saveArtifact(
+            models::synthesizeCompressed(models::edgeServeSpec(),
+                                         core::NmPattern{4, 16}, 256,
+                                         /*seed=*/17, &write_opts),
+            path_, core::io::ArtifactFormat::Mvqi, write_opts);
     }
 
     void
@@ -445,7 +452,8 @@ TEST_F(ServeArtifactFaultTest, OpenFaultSurfacesAndDoesNotStick)
     EXPECT_THROW((void)core::io::openArtifact(path_), FatalError);
     // nth=1 is spent: the same path opens fine afterwards.
     auto artifact = core::io::openArtifact(path_);
-    EXPECT_EQ(artifact->layerCount(), 2);
+    EXPECT_EQ(artifact->layerCount(),
+              static_cast<std::int64_t>(models::edgeServeSpec().convs.size()));
 }
 
 TEST_F(ServeArtifactFaultTest, OperandBorrowFaultDoesNotPoisonCache)
@@ -541,9 +549,12 @@ TEST_F(ServeRobustnessTest, EnvPlanTrafficAlwaysCompletes)
     fault::armFromEnv();
 
     const std::string path = "/tmp/mvq_serve_robustness_envplan.mvqi";
-    core::io::saveArtifact(core::makeServeModel(), path,
-                           core::io::ArtifactFormat::Mvqi,
-                           core::serveWriteOptions());
+    core::io::MvqiWriteOptions write_opts;
+    core::io::saveArtifact(
+        models::synthesizeCompressed(models::edgeServeSpec(),
+                                     core::NmPattern{4, 16}, 256,
+                                     /*seed=*/19, &write_opts),
+        path, core::io::ArtifactFormat::Mvqi, write_opts);
     // Artifact paths first: open and borrow may be scheduled to fail;
     // both kinds of failure must surface as exceptions, not corruption.
     int artifact_failures = 0;

@@ -26,9 +26,9 @@
 #include "common/logging.hpp"
 #include "common/random.hpp"
 #include "core/io/model_artifact.hpp"
+#include "models/synthetic.hpp"
 #include "nn/compressed_net.hpp"
 #include "serve/server.hpp"
-#include "serve_test_util.hpp"
 
 namespace mvq::serve {
 namespace {
@@ -53,9 +53,12 @@ class ServeStressTest : public ::testing::Test
     SetUp() override
     {
         path_ = "/tmp/mvq_serve_stress_test.mvqi";
-        core::io::saveArtifact(core::makeServeModel(), path_,
-                               core::io::ArtifactFormat::Mvqi,
-                               core::serveWriteOptions());
+        core::io::MvqiWriteOptions write_opts;
+        core::io::saveArtifact(
+            models::synthesizeCompressed(models::edgeServeSpec(),
+                                         core::NmPattern{4, 16}, 256,
+                                         /*seed=*/13, &write_opts),
+            path_, core::io::ArtifactFormat::Mvqi, write_opts);
         artifact_ = core::io::openArtifact(path_);
         net_ = std::make_unique<nn::CompressedNet>(*artifact_);
         chw_ = Shape({net_->inChannels(), 6, 6});

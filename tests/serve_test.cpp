@@ -30,15 +30,12 @@
 #include "common/logging.hpp"
 #include "common/random.hpp"
 #include "core/io/model_artifact.hpp"
+#include "models/synthetic.hpp"
 #include "nn/compressed_net.hpp"
 #include "serve/server.hpp"
-#include "serve_test_util.hpp"
 
 namespace mvq::serve {
 namespace {
-
-using core::makeServeModel;
-using core::serveWriteOptions;
 
 constexpr auto kGrace = std::chrono::milliseconds(100);
 
@@ -287,9 +284,12 @@ class ServeNetTest : public ::testing::Test
     SetUp() override
     {
         path_ = "/tmp/mvq_serve_test.mvqi";
-        core::io::saveArtifact(makeServeModel(), path_,
-                               core::io::ArtifactFormat::Mvqi,
-                               serveWriteOptions());
+        core::io::MvqiWriteOptions write_opts;
+        core::io::saveArtifact(
+            models::synthesizeCompressed(models::edgeServeSpec(),
+                                         core::NmPattern{4, 16}, 256,
+                                         /*seed=*/11, &write_opts),
+            path_, core::io::ArtifactFormat::Mvqi, write_opts);
         artifact_ = core::io::openArtifact(path_);
         net_ = std::make_unique<nn::CompressedNet>(*artifact_);
     }
@@ -311,7 +311,8 @@ class ServeNetTest : public ::testing::Test
 
 TEST_F(ServeNetTest, CompressedNetChainsLayersOverSharedOperands)
 {
-    EXPECT_EQ(net_->layerCount(), 2);
+    EXPECT_EQ(net_->layerCount(),
+              static_cast<std::int64_t>(models::edgeServeSpec().convs.size()));
     EXPECT_EQ(net_->inChannels(), 8);
     Tensor x(Shape({2, 8, 6, 6}));
     Rng rng(42);

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <vector>
 
+#include "clustered_fixture.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/simd_dispatch.hpp"
@@ -232,41 +233,9 @@ TEST(SparseGemm, ThreadCountDeterministicPerIsa)
     }
 }
 
-/** Build a clustered 4:16 compressed layer for the conv tests. */
-struct CompressedFixture
-{
-    Shape shape;
-    core::MvqLayerConfig cfg;
-    core::CompressedLayer layer;
-    core::Codebook cb;
-
-    explicit CompressedFixture(Shape s, std::uint64_t seed = 131)
-        : shape(std::move(s))
-    {
-        cfg.k = 16;
-        cfg.d = 16;
-        cfg.pattern = core::NmPattern{4, 16};
-        cfg.codebook_bits = 8;
-
-        Rng rng(seed);
-        Tensor w4(shape);
-        w4.fillNormal(rng, 0.0f, 1.0f);
-        Tensor wr = core::groupWeights(w4, cfg.d, cfg.grouping);
-        core::Mask mask = core::nmMask(wr, cfg.pattern);
-        core::applyMask(wr, mask);
-
-        core::KmeansConfig kc;
-        kc.k = cfg.k;
-        const core::KmeansResult km = core::maskedKmeans(wr, mask, kc);
-        cb.codewords = km.codebook;
-        core::quantizeCodebook(cb, cfg.codebook_bits);
-        layer = core::makeCompressedLayer("conv", shape, cfg, mask, km, 0);
-    }
-};
-
 TEST(SparseGemm, PackSparseRowsMatchesReconstruct)
 {
-    CompressedFixture f(Shape({32, 4, 3, 3}));
+    ClusteredFixture f(Shape({32, 4, 3, 3}));
     const SparseRowMatrix sp = f.layer.packSparseRows(f.cb);
     EXPECT_EQ(sp.rows, 32);
     EXPECT_EQ(sp.cols, 4 * 3 * 3);
@@ -291,7 +260,7 @@ TEST(SparseGemm, PackSparseRowsMatchesReconstruct)
 TEST(CompressedConv2d, MatchesDensifiedForwardAllIsas)
 {
     IsaGuard guard;
-    CompressedFixture f(Shape({32, 4, 3, 3}));
+    ClusteredFixture f(Shape({32, 4, 3, 3}));
 
     Rng rng(61);
     nn::Conv2dConfig cc{4, 32, 3, 1, 1, 1, false};
@@ -317,7 +286,7 @@ TEST(CompressedConv2d, MatchesDensifiedForwardAllIsas)
 TEST(CompressedConv2d, GroupedConvMatchesDensifiedForward)
 {
     IsaGuard guard;
-    CompressedFixture f(Shape({16, 2, 3, 3}), 77); // groups = 2, C = 4
+    ClusteredFixture f(Shape({16, 2, 3, 3}), 77); // groups = 2, C = 4
 
     Rng rng(78);
     nn::Conv2dConfig cc{4, 16, 3, 1, 1, 2, false};
@@ -336,7 +305,7 @@ TEST(CompressedConv2d, GroupedConvMatchesDensifiedForward)
 TEST(CompressedConv2d, StridedConvMatchesDensifiedForward)
 {
     IsaGuard guard;
-    CompressedFixture f(Shape({16, 8, 3, 3}), 91);
+    ClusteredFixture f(Shape({16, 8, 3, 3}), 91);
 
     Rng rng(92);
     nn::Conv2dConfig cc{8, 16, 3, 2, 0, 1, false};

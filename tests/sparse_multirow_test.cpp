@@ -16,6 +16,7 @@
 #include <cstring>
 #include <vector>
 
+#include "clustered_fixture.hpp"
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/simd_dispatch.hpp"
@@ -412,58 +413,9 @@ TEST(SparseMultiRow, MalformedGroupedOperandPanics)
     EXPECT_THROW(gemmSparseA(g, b, c), PanicError);
 }
 
-/** Build a clustered 4:16 compressed layer for the conv tests. */
-struct CompressedFixture
-{
-    Shape shape;
-    core::MvqLayerConfig cfg;
-    core::CompressedLayer layer;
-    core::Codebook cb;
-
-    /**
-     * concentrate=true scales every 16th block's first four output
-     * channels up hard, so the magnitude mask keeps (nearly) the same
-     * four channels at every column — realistic channel-norm spread taken
-     * to the extreme, guaranteeing the pack produces multi-row buckets.
-     */
-    explicit CompressedFixture(Shape s, std::uint64_t seed = 131,
-                               bool concentrate = false)
-        : shape(std::move(s))
-    {
-        cfg.k = 16;
-        cfg.d = 16;
-        cfg.pattern = core::NmPattern{4, 16};
-        cfg.codebook_bits = 8;
-
-        Rng rng(seed);
-        Tensor w4(shape);
-        w4.fillNormal(rng, 0.0f, 1.0f);
-        if (concentrate) {
-            const std::int64_t per_k = shape.numel() / shape.dim(0);
-            for (std::int64_t k = 0; k < shape.dim(0); ++k) {
-                if (k % 16 >= 4)
-                    continue;
-                float *row = w4.data() + k * per_k;
-                for (std::int64_t i = 0; i < per_k; ++i)
-                    row[i] *= 16.0f;
-            }
-        }
-        Tensor wr = core::groupWeights(w4, cfg.d, cfg.grouping);
-        core::Mask mask = core::nmMask(wr, cfg.pattern);
-        core::applyMask(wr, mask);
-
-        core::KmeansConfig kc;
-        kc.k = cfg.k;
-        const core::KmeansResult km = core::maskedKmeans(wr, mask, kc);
-        cb.codewords = km.codebook;
-        core::quantizeCodebook(cb, cfg.codebook_bits);
-        layer = core::makeCompressedLayer("conv", shape, cfg, mask, km, 0);
-    }
-};
-
 TEST(SparseMultiRow, PackGroupedRowsMatchesPackSparseRows)
 {
-    CompressedFixture f(Shape({32, 4, 3, 3}));
+    ClusteredFixture f(Shape({32, 4, 3, 3}));
     const SparseRowMatrix full = f.layer.packSparseRows(f.cb);
     EXPECT_TRUE(full.validated);
 
@@ -499,7 +451,7 @@ TEST(SparseMultiRow, PackGroupedRowsMatchesPackSparseRows)
 TEST(SparseMultiRow, CompressedConvMatchesSingleRowComposition)
 {
     IsaGuard guard;
-    CompressedFixture f(Shape({32, 8, 3, 3}), 131, /*concentrate=*/true);
+    ClusteredFixture f(Shape({32, 8, 3, 3}), 131, /*concentrate=*/true);
 
     const nn::CompressedConv2d conv(f.layer, f.cb, 1, 1);
     // Concentrated channel norms make the stored mask codes repeat across
@@ -530,7 +482,7 @@ TEST(SparseMultiRow, CompressedConvMatchesSingleRowComposition)
 TEST(SparseMultiRow, GroupedStridedConvMatchesDensifiedForward)
 {
     IsaGuard guard;
-    CompressedFixture f(Shape({16, 2, 3, 3}), 151); // groups = 2, C = 4
+    ClusteredFixture f(Shape({16, 2, 3, 3}), 151); // groups = 2, C = 4
 
     Rng rng(152);
     nn::Conv2dConfig cc{4, 16, 3, 2, 1, 2, false};

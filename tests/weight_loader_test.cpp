@@ -8,48 +8,19 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hpp"
-#include "core/pipeline.hpp"
+#include "models/synthetic.hpp"
 #include "sim/weight_loader.hpp"
 #include "tensor/ops.hpp"
 
 namespace mvq::sim {
 namespace {
 
-core::CompressedModel
-makeCompressed(std::int64_t k, std::int64_t d, core::NmPattern pattern,
-               const Shape &shape, Tensor &w4_out)
-{
-    Rng rng(171);
-    w4_out = Tensor(shape);
-    w4_out.fillNormal(rng, 0.0f, 1.0f);
-
-    core::MvqLayerConfig cfg;
-    cfg.k = k;
-    cfg.d = d;
-    cfg.pattern = pattern;
-    Tensor wr = core::groupWeights(w4_out, d, cfg.grouping);
-    core::Mask mask = core::nmMask(wr, pattern);
-    core::applyMask(wr, mask);
-
-    core::KmeansConfig kc;
-    kc.k = k;
-    core::KmeansResult km = core::maskedKmeans(wr, mask, kc);
-
-    core::CompressedModel cm;
-    core::Codebook cb;
-    cb.codewords = km.codebook;
-    core::quantizeCodebook(cb, 8);
-    cm.codebooks.push_back(cb);
-    cm.layers.push_back(core::makeCompressedLayer("conv", shape, cfg,
-                                                  mask, km, 0));
-    return cm;
-}
-
 TEST(WeightLoader, DecodeMatchesReconstruct)
 {
-    Tensor w4;
-    auto cm = makeCompressed(16, 16, core::NmPattern{4, 16},
-                             Shape({32, 4, 3, 3}), w4);
+    models::ModelSpec spec;
+    spec.convs.push_back({"conv", 32, 4, 3, 1, 1, 1, 8, 8});
+    const auto cm =
+        models::synthesizeCompressed(spec, core::NmPattern{4, 16}, 16, 171);
     AccelConfig cfg = makeHwSetting(HwSetting::EWS_CMS, 16);
     Counters counters;
     DecodedWeights dec = decodeCompressedLayer(
