@@ -729,7 +729,8 @@ multiRowReport(const std::string &json)
             reps);
 
         // Forwarding contract: a tile-free grouped operand runs the
-        // single-row entry point on its embedded operand, bit-for-bit.
+        // single-row entry point on its remainder (the whole operand),
+        // bit-for-bit.
         Tensor c_plain(Shape({m, n}));
         Tensor c_tile_free(Shape({m, n}));
         gemmSparseAIm2col(sp, b, 1.0f, 0.0f, c_plain.data(), n);

@@ -14,12 +14,14 @@
  *           validation (no decode, no packing)
  *
  * Both paths must produce byte-identical packed operands — the bench
- * memcmp-checks values/col_idx per group before reporting. Emits
+ * compares every array the kernels read (tiles, their column/value
+ * pools, band_ptr, the remainder CSR) per group before reporting. Emits
  * JSON-lines records via --json / MVQ_BENCH_JSON, and with
  * MVQ_BENCH_GATE_MIN_LOAD_SPEEDUP set exits nonzero when the measured
  * speedup falls below the floor (CI regression gate).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -66,6 +68,35 @@ coldLoad(const std::string &path, const models::ModelSpec &spec, double *ms)
     return out;
 }
 
+template <typename T>
+bool
+sameBytes(const OperandArray<T> &x, const OperandArray<T> &y)
+{
+    return x.size() == y.size()
+        && (x.empty()
+            || std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+/** Tiles compare field by field: a freshly packed tile (the stream path
+ *  repacks grouped convs) leaves unused row[] slots and padding
+ *  indeterminate, while an image's tiles have them zeroed. */
+bool
+sameTiles(const OperandArray<GroupedSparseMatrix::Tile> &x,
+          const OperandArray<GroupedSparseMatrix::Tile> &y)
+{
+    if (x.size() != y.size())
+        return false;
+    for (std::size_t t = 0; t < x.size(); ++t) {
+        const GroupedSparseMatrix::Tile &p = x[t];
+        const GroupedSparseMatrix::Tile &q = y[t];
+        if (p.nrows != q.nrows || p.col_off != q.col_off
+            || p.ncols != q.ncols || p.val_off != q.val_off
+            || !std::equal(p.row, p.row + p.nrows, q.row))
+            return false;
+    }
+    return true;
+}
+
 bool
 operandsIdentical(const std::vector<io::SharedOperands> &a,
                   const std::vector<io::SharedOperands> &b)
@@ -78,23 +109,14 @@ operandsIdentical(const std::vector<io::SharedOperands> &a,
         for (std::size_t g = 0; g < a[i]->size(); ++g) {
             const GroupedSparseMatrix &x = (*a[i])[g];
             const GroupedSparseMatrix &y = (*b[i])[g];
-            if (x.vals.size() != y.vals.size()
-                || x.cols.size() != y.cols.size()
-                || x.rows.values.size() != y.rows.values.size())
-                return false;
-            if (std::memcmp(x.vals.data(), y.vals.data(),
-                            x.vals.size() * sizeof(float))
-                    != 0
-                || std::memcmp(x.cols.data(), y.cols.data(),
-                               x.cols.size() * sizeof(std::int32_t))
-                       != 0
-                || std::memcmp(x.rows.values.data(), y.rows.values.data(),
-                               x.rows.values.size() * sizeof(float))
-                       != 0
-                || std::memcmp(x.rows.col_idx.data(), y.rows.col_idx.data(),
-                               x.rows.col_idx.size()
-                                   * sizeof(std::int32_t))
-                       != 0)
+            if (x.rows.rows != y.rows.rows || x.rows.cols != y.rows.cols
+                || x.rows.nnz() != y.rows.nnz()
+                || !sameTiles(x.tiles, y.tiles) || !sameBytes(x.cols, y.cols)
+                || !sameBytes(x.vals, y.vals)
+                || !sameBytes(x.band_ptr, y.band_ptr)
+                || !sameBytes(x.remainder.row_ptr, y.remainder.row_ptr)
+                || !sameBytes(x.remainder.col_idx, y.remainder.col_idx)
+                || !sameBytes(x.remainder.values, y.remainder.values))
                 return false;
         }
     }
@@ -184,6 +206,8 @@ main(int argc, char **argv)
                           r.mvqi_ms);
         appendBenchRecord(json, "model_load_" + spec.name, "speedup",
                           speedup);
+        appendBenchRecord(json, "model_load_" + spec.name, "mvqi_mb",
+                          static_cast<double>(r.mvqi_bytes) / 1e6);
         appendBenchRecord(json, "model_load_" + spec.name,
                           "bit_identical", r.identical ? 1.0 : 0.0);
         if (!r.identical) {

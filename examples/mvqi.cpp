@@ -3,9 +3,11 @@
  * `mvqi` — conversion / inspection CLI for compressed-model artifacts.
  *
  *   mvqi info <file>                     describe an artifact (either
- *                                        format; layer + codebook table)
+ *                                        format; layer + codebook table,
+ *                                        MVQI version, bytes per section)
  *   mvqi convert <in> <out> [options]    re-encode between the bit-packed
- *                                        stream and the MVQI image
+ *                                        stream and the MVQI image; an
+ *                                        MVQI v1 input upgrades to v2
  *   mvqi verify <file>                   load + fully validate every
  *                                        layer's packed operands
  *
@@ -14,6 +16,7 @@
  *                             ".mvqi" => mvqi, anything else => stream)
  *   --groups N                conv groups baked into every MVQI layer
  *   --layer-groups name=N     per-layer override (repeatable)
+ *   (neither given: each layer keeps the groups its input baked)
  *
  * Exit status: 0 on success, 1 on usage errors, and FatalError aborts
  * (corrupt input) surface the loader's message on stderr.
@@ -56,6 +59,29 @@ describeLayer(const ModelArtifact &art, std::int64_t i)
     std::cout << "  [pre-packed, groups=" << art.bakedGroups(i) << "]\n";
 }
 
+/** Bytes per section kind of the served image (for a `.mvq` stream, the
+ *  image it converts to in memory). The rows sum to the image size. */
+void
+describeSections(const MvqiView &v)
+{
+    const MvqiSectionBytes s = mvqiSectionBytes(v);
+    const auto row = [](const char *kind, std::int64_t bytes) {
+        std::cout << "    " << kind << ": " << bytes << " B\n";
+    };
+    std::cout << "  image sections (MVQI v" << v.header().version << ", "
+              << v.size() << " B):\n";
+    row("codebooks", s.codebooks);
+    row("assignments", s.assignments);
+    row("mask codes", s.mask_codes);
+    row("tiles+pools", s.tiles);
+    row("remainder CSR", s.remainder);
+    if (v.header().version == 1)
+        row("full CSR (v1 only, unread)", s.full_csr);
+    row("TOCs/records", s.records);
+    row("padding", s.padding);
+    std::cout << "    total: " << s.total() << " B\n";
+}
+
 int
 cmdInfo(const std::string &path)
 {
@@ -79,6 +105,7 @@ cmdInfo(const std::string &path)
     std::cout << "  backing: "
               << (art->mapped() ? "mmap" : "aligned heap copy")
               << ", MVQI v" << art->view().header().version << "\n";
+    describeSections(art->view());
     return 0;
 }
 
@@ -90,6 +117,7 @@ cmdConvert(int argc, char **argv)
     const std::string in = argv[2];
     const std::string out = argv[3];
     bool to_set = false;
+    bool groups_set = false;
     ArtifactFormat to = ArtifactFormat::Stream;
     MvqiWriteOptions opts;
     for (int a = 4; a < argc; ++a) {
@@ -107,6 +135,7 @@ cmdConvert(int argc, char **argv)
             to_set = true;
         } else if (arg == "--groups") {
             opts.default_groups = std::atoll(next().c_str());
+            groups_set = true;
         } else if (arg == "--layer-groups") {
             const std::string v = next();
             const auto eq = v.find('=');
@@ -114,6 +143,7 @@ cmdConvert(int argc, char **argv)
                     "--layer-groups expects name=N, got ", v);
             opts.layer_groups[v.substr(0, eq)] =
                 std::atoll(v.c_str() + eq + 1);
+            groups_set = true;
         } else {
             std::cerr << "unknown option " << arg << "\n";
             return usage();
@@ -124,6 +154,12 @@ cmdConvert(int argc, char **argv)
         to = ArtifactFormat::Mvqi;
 
     const auto art = openArtifact(in);
+    if (!groups_set) {
+        // An image re-encoded as-is keeps its baked conv groups, so a v1
+        // image upgrades to the v2 image of the same model in one step.
+        for (std::int64_t i = 0; i < art->layerCount(); ++i)
+            opts.layer_groups[art->layerName(i)] = art->bakedGroups(i);
+    }
     saveArtifact(art->model(), out, to, opts);
     std::cout << in << " (" << artifactFormatName(art->format()) << ", "
               << art->sizeBytes() << " B) -> " << out << " ("

@@ -87,11 +87,9 @@ GroupedSparseMatrix
 borrowOperand(const MvqiView &v, const MvqiOperand &op)
 {
     GroupedSparseMatrix g;
-    g.rows.rows = op.rows;
-    g.rows.cols = op.cols;
-    g.rows.row_ptr = borrowArr<std::int64_t>(v, op.row_ptr);
-    g.rows.col_idx = borrowArr<std::int32_t>(v, op.col_idx);
-    g.rows.values = borrowArr<float>(v, op.values);
+    // Tiles cover their value pool exactly, so the kept count is the two
+    // value arrays; validateGroupedOperand checks the tiles add up to it.
+    g.rows = {op.rows, op.cols, op.tile_vals.count + op.rem_values.count};
     g.tiles = borrowArr<GroupedSparseMatrix::Tile>(v, op.tiles);
     g.cols = borrowArr<std::int32_t>(v, op.tile_cols);
     g.vals = borrowArr<float>(v, op.tile_vals);
@@ -236,9 +234,9 @@ ModelArtifact::packedOperands(std::int64_t i, std::int64_t groups) const
         auto holder = std::make_shared<OperandHolder>();
         holder->keepalive = map_;
         holder->ops.reserve(static_cast<std::size_t>(g));
-        const MvqiOperand *recs = view_.operands(i);
         for (std::int64_t grp = 0; grp < g; ++grp) {
-            GroupedSparseMatrix op = borrowOperand(view_, recs[grp]);
+            GroupedSparseMatrix op =
+                borrowOperand(view_, view_.operand(i, grp));
             try {
                 validateGroupedOperand(op);
             } catch (const PanicError &e) {

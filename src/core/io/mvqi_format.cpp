@@ -1,5 +1,6 @@
 #include "core/io/mvqi_format.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +32,25 @@ static_assert(sizeof(GroupedSparseMatrix::Tile) == 48,
 namespace {
 
 using Tile = GroupedSparseMatrix::Tile;
+
+/** Copy a record out of the image bytes. */
+template <typename T>
+T
+readRecord(const std::uint8_t *p)
+{
+    static_assert(std::is_trivially_copyable_v<T>);
+    T rec;
+    std::memcpy(&rec, p, sizeof(T));
+    return rec;
+}
+
+/** Operand record `g` of layer `L` in a v1 image. */
+MvqiOperandV1
+v1Record(const std::uint8_t *data, const MvqiLayer &L, std::int64_t g)
+{
+    return readRecord<MvqiOperandV1>(data + L.operands_off
+                                     + g * sizeof(MvqiOperandV1));
+}
 
 /**
  * Append-only image buffer. Every section lands on a kMvqiAlign boundary
@@ -132,9 +152,6 @@ appendOperand(ImageBuilder &b, const GroupedSparseMatrix &op)
     MvqiOperand rec;
     rec.rows = op.rows.rows;
     rec.cols = op.rows.cols;
-    rec.row_ptr = b.append(op.rows.row_ptr);
-    rec.col_idx = b.append(op.rows.col_idx);
-    rec.values = b.append(op.rows.values);
     const std::vector<Tile> tiles = normalizedTiles(op.tiles);
     rec.tiles = b.append(tiles);
     rec.tile_cols = b.append(op.cols);
@@ -387,11 +404,35 @@ MvqiView::layer(std::int64_t i) const
         data_ + header().layer_toc_off)[i];
 }
 
-const MvqiOperand *
-MvqiView::operands(std::int64_t layer_idx) const
+std::int64_t
+MvqiView::operandRecordBytes() const
 {
-    return reinterpret_cast<const MvqiOperand *>(
-        data_ + layer(layer_idx).operands_off);
+    return header().version == 1
+        ? static_cast<std::int64_t>(sizeof(MvqiOperandV1))
+        : static_cast<std::int64_t>(sizeof(MvqiOperand));
+}
+
+MvqiOperand
+MvqiView::operand(std::int64_t layer_idx, std::int64_t group) const
+{
+    const MvqiLayer &L = layer(layer_idx);
+    panicIf(group < 0 || group >= L.groups, "operand group ", group,
+            " out of range [0, ", L.groups, ")");
+    if (header().version != 1)
+        return readRecord<MvqiOperand>(data_ + L.operands_off
+                                       + group * sizeof(MvqiOperand));
+    const MvqiOperandV1 v1 = v1Record(data_, L, group);
+    MvqiOperand op;
+    op.rows = v1.rows;
+    op.cols = v1.cols;
+    op.tiles = v1.tiles;
+    op.tile_cols = v1.tile_cols;
+    op.tile_vals = v1.tile_vals;
+    op.band_ptr = v1.band_ptr;
+    op.rem_row_ptr = v1.rem_row_ptr;
+    op.rem_col_idx = v1.rem_col_idx;
+    op.rem_values = v1.rem_values;
+    return op;
 }
 
 void
@@ -427,8 +468,10 @@ MvqiView::validate()
     const MvqiHeader &h = header();
     fatalIf(h.magic != kMvqiMagic, what_, ": bad magic 0x", std::hex,
             h.magic, std::dec, " (not an MVQI image)");
-    fatalIf(h.version != kMvqiVersion, what_, ": unsupported MVQI version ",
-            h.version, " (this build reads version ", kMvqiVersion, ")");
+    fatalIf(h.version < kMvqiMinVersion || h.version > kMvqiVersion, what_,
+            ": unsupported MVQI version ", h.version,
+            " (this build reads versions ", kMvqiMinVersion, " to ",
+            kMvqiVersion, ")");
     fatalIf(h.header_bytes != sizeof(MvqiHeader), what_,
             ": header size mismatch (", h.header_bytes, " vs ",
             sizeof(MvqiHeader), ")");
@@ -491,20 +534,20 @@ MvqiView::validate()
                 " does not match ng*d/M = ", L.ng * (L.d / L.m));
         checkArray(MvqiArray{L.operands_off,
                              static_cast<std::int64_t>(L.groups)},
-                   sizeof(MvqiOperand), "operand TOC");
+                   operandRecordBytes(), "operand records");
 
         for (std::int32_t g = 0; g < L.groups; ++g) {
-            const MvqiOperand &op = operands(i)[g];
+            if (h.version == 1) {
+                // The v1 full-CSR copy is never read, but it must still
+                // lie inside the image.
+                const MvqiOperandV1 v1 = v1Record(data_, L, g);
+                checkArray(v1.row_ptr, sizeof(std::int64_t), "row_ptr");
+                checkArray(v1.col_idx, sizeof(std::int32_t), "col_idx");
+                checkArray(v1.values, sizeof(float), "values");
+            }
+            const MvqiOperand op = operand(i, g);
             fatalIf(op.rows < 0 || op.cols < 0, what_, ": layer ", i,
                     " operand ", g, " has negative dimensions");
-            checkArray(op.row_ptr, sizeof(std::int64_t), "row_ptr");
-            fatalIf(op.row_ptr.count != op.rows + 1, what_, ": layer ", i,
-                    " operand ", g, " row_ptr count ", op.row_ptr.count,
-                    " does not match rows+1 = ", op.rows + 1);
-            checkArray(op.col_idx, sizeof(std::int32_t), "col_idx");
-            checkArray(op.values, sizeof(float), "values");
-            fatalIf(op.col_idx.count != op.values.count, what_, ": layer ",
-                    i, " operand ", g, " col_idx/values count mismatch");
             checkArray(op.tiles, sizeof(Tile), "tiles");
             checkArray(op.tile_cols, sizeof(std::int32_t), "tile cols");
             checkArray(op.tile_vals, sizeof(float), "tile vals");
@@ -525,6 +568,72 @@ MvqiView::validate()
                     " remainder col_idx/values count mismatch");
         }
     }
+}
+
+MvqiSectionBytes
+mvqiSectionBytes(const MvqiView &v)
+{
+    MvqiSectionBytes s;
+    std::vector<std::pair<std::uint64_t, std::int64_t>> spans;
+    const auto add = [&](std::int64_t &kind, std::uint64_t off,
+                         std::int64_t bytes) {
+        kind += bytes;
+        if (bytes > 0)
+            spans.emplace_back(off, bytes);
+    };
+    const auto addArray = [&](std::int64_t &kind, const MvqiArray &a,
+                              std::int64_t elem_bytes) {
+        add(kind, a.off, a.count * elem_bytes);
+    };
+
+    const MvqiHeader &h = v.header();
+    add(s.records, 0, sizeof(MvqiHeader));
+    add(s.records, h.codebook_toc_off,
+        v.codebookCount() * static_cast<std::int64_t>(sizeof(MvqiCodebook)));
+    add(s.records, h.layer_toc_off,
+        v.layerCount() * static_cast<std::int64_t>(sizeof(MvqiLayer)));
+    for (std::int64_t i = 0; i < v.codebookCount(); ++i) {
+        const MvqiCodebook &cb = v.codebook(i);
+        add(s.codebooks, cb.codewords_off,
+            cb.k * cb.d * static_cast<std::int64_t>(sizeof(float)));
+    }
+    for (std::int64_t i = 0; i < v.layerCount(); ++i) {
+        const MvqiLayer &L = v.layer(i);
+        addArray(s.assignments, L.assignments, sizeof(std::int32_t));
+        addArray(s.mask_codes, L.mask_codes, sizeof(std::uint32_t));
+        add(s.records, L.operands_off, L.groups * v.operandRecordBytes());
+        for (std::int32_t g = 0; g < L.groups; ++g) {
+            if (h.version == 1) {
+                const MvqiOperandV1 v1 = v1Record(v.data(), L, g);
+                addArray(s.full_csr, v1.row_ptr, sizeof(std::int64_t));
+                addArray(s.full_csr, v1.col_idx, sizeof(std::int32_t));
+                addArray(s.full_csr, v1.values, sizeof(float));
+            }
+            const MvqiOperand op = v.operand(i, g);
+            addArray(s.tiles, op.tiles, sizeof(Tile));
+            addArray(s.tiles, op.tile_cols, sizeof(std::int32_t));
+            addArray(s.tiles, op.tile_vals, sizeof(float));
+            addArray(s.tiles, op.band_ptr, sizeof(std::int64_t));
+            addArray(s.remainder, op.rem_row_ptr, sizeof(std::int64_t));
+            addArray(s.remainder, op.rem_col_idx, sizeof(std::int32_t));
+            addArray(s.remainder, op.rem_values, sizeof(float));
+        }
+    }
+
+    // Padding is what no section covers; overlapping sections would count
+    // twice above and push total() past the file size.
+    std::sort(spans.begin(), spans.end());
+    std::uint64_t cursor = 0;
+    std::int64_t covered = 0;
+    for (const auto &[off, bytes] : spans) {
+        const std::uint64_t end = off + static_cast<std::uint64_t>(bytes);
+        if (end > cursor) {
+            covered += static_cast<std::int64_t>(end - std::max(off, cursor));
+            cursor = end;
+        }
+    }
+    s.padding = v.size() - covered;
+    return s;
 }
 
 } // namespace mvq::core::io

@@ -1,13 +1,16 @@
 /**
  * @file
- * MVQI ("MVQ Image") v1 — the flat, aligned, versioned serving format.
+ * MVQI ("MVQ Image") v2 — the flat, aligned, versioned serving format.
  * Where the bit-packed stream format (core/serialize) optimizes for the
  * paper's Eq. 7 storage accounting and must be decoded and re-packed on
  * every load, an MVQI file *is* the in-memory operand layout: fixed-width
  * little-endian header + TOC structs, then 64-byte-aligned sections
  * holding codebooks, assignments, mask codes, and the pre-packed
  * panel-ready sparse operands (GroupedSparseMatrix tiles + CSR remainder)
- * exactly as the gemm drivers consume them. Loading is therefore mmap +
+ * exactly as the gemm drivers consume them, each kept weight stored once.
+ * v1 images, which also carried a full single-row CSR copy of every
+ * operand, are still read (that copy is bounds-checked and ignored); the
+ * writer emits v2 only. Loading is therefore mmap +
  * validate: no bit-stream decode, no packSparseRows/packGroupedRows, and
  * N server processes share one read-only page-cached image.
  *
@@ -32,7 +35,8 @@
 namespace mvq::core::io {
 
 constexpr std::uint32_t kMvqiMagic = 0x4951564Du; //!< "MVQI", little-endian
-constexpr std::uint32_t kMvqiVersion = 1;
+constexpr std::uint32_t kMvqiVersion = 2;   //!< the version written
+constexpr std::uint32_t kMvqiMinVersion = 1; //!< oldest version read
 constexpr std::int64_t kMvqiAlign = 64;  //!< section alignment (bytes)
 constexpr std::size_t kMvqiNameBytes = 64; //!< fixed layer-name field
 
@@ -80,15 +84,13 @@ static_assert(sizeof(MvqiCodebook) == 48);
  * one layer) flattened into offset-addressed sections. The tiles section
  * stores GroupedSparseMatrix::Tile structs verbatim (their layout is
  * static_asserted in mvqi_format.cpp), so a loaded operand borrows every
- * array straight from the image.
+ * array straight from the image. Tiles + remainder hold every kept entry
+ * exactly once.
  */
 struct MvqiOperand
 {
     std::int64_t rows = 0;
     std::int64_t cols = 0;
-    MvqiArray row_ptr;     //!< int64, rows + 1
-    MvqiArray col_idx;     //!< int32, nnz
-    MvqiArray values;      //!< fp32, nnz
     MvqiArray tiles;       //!< GroupedSparseMatrix::Tile (48 B each)
     MvqiArray tile_cols;   //!< int32 shared-column pool
     MvqiArray tile_vals;   //!< fp32 tile-value pool
@@ -97,7 +99,29 @@ struct MvqiOperand
     MvqiArray rem_col_idx; //!< int32, remainder nnz
     MvqiArray rem_values;  //!< fp32, remainder nnz
 };
-static_assert(sizeof(MvqiOperand) == 16 + 10 * sizeof(MvqiArray));
+static_assert(sizeof(MvqiOperand) == 128);
+
+/**
+ * The v1 operand record (read-only): the v2 fields behind a full
+ * single-row CSR copy of the operand, which the tiles + remainder already
+ * hold. A reader bounds-checks that copy and never reads it.
+ */
+struct MvqiOperandV1
+{
+    std::int64_t rows = 0;
+    std::int64_t cols = 0;
+    MvqiArray row_ptr;     //!< int64, rows + 1
+    MvqiArray col_idx;     //!< int32, nnz
+    MvqiArray values;      //!< fp32, nnz
+    MvqiArray tiles;
+    MvqiArray tile_cols;
+    MvqiArray tile_vals;
+    MvqiArray band_ptr;
+    MvqiArray rem_row_ptr;
+    MvqiArray rem_col_idx;
+    MvqiArray rem_values;
+};
+static_assert(sizeof(MvqiOperandV1) == 176);
 
 /** One layer TOC entry. */
 struct MvqiLayer
@@ -116,7 +140,7 @@ struct MvqiLayer
     std::int64_t ng = 0;
     MvqiArray assignments;          //!< int32, ng
     MvqiArray mask_codes;           //!< uint32, ng * d/M
-    std::uint64_t operands_off = 0; //!< `groups` MvqiOperand records
+    std::uint64_t operands_off = 0; //!< `groups` operand records
     std::uint64_t reserved = 0;
 };
 static_assert(sizeof(MvqiLayer) == 200);
@@ -130,7 +154,7 @@ struct MvqiWriteOptions
 };
 
 /**
- * Serialize `model` into an MVQI image: runs packGroupedRows per layer
+ * Serialize `model` into an MVQI v2 image: runs packGroupedRows per layer
  * ONCE here, at serialize time, so no load ever runs it again.
  * Deterministic: same model + options => identical bytes (the golden
  * fixture test depends on this). Fatal on layer names >= 64 bytes or
@@ -215,8 +239,11 @@ class MvqiView
     std::int64_t layerCount() const;
     const MvqiCodebook &codebook(std::int64_t i) const;
     const MvqiLayer &layer(std::int64_t i) const;
-    /** The layer's `groups` MvqiOperand records. */
-    const MvqiOperand *operands(std::int64_t layer_idx) const;
+    /** Operand record `group` of a layer, read from either record layout
+     *  (a v1 record drops its full-CSR fields). */
+    MvqiOperand operand(std::int64_t layer_idx, std::int64_t group) const;
+    /** Bytes of one operand record in this image's version. */
+    std::int64_t operandRecordBytes() const;
 
     /** Typed pointer to a validated array section. */
     template <typename T>
@@ -239,6 +266,33 @@ class MvqiView
     std::int64_t size_;
     std::string what_;
 };
+
+/**
+ * Bytes of an image by section kind, as `mvqi info` reports them. Every
+ * byte belongs to exactly one kind, so total() equals the file size for
+ * any image whose sections do not overlap (the writer's never do).
+ */
+struct MvqiSectionBytes
+{
+    std::int64_t codebooks = 0;   //!< codeword arrays
+    std::int64_t assignments = 0; //!< per-subvector codeword ids
+    std::int64_t mask_codes = 0;  //!< N:M mask codes
+    std::int64_t tiles = 0;       //!< tiles, their pools, band_ptr
+    std::int64_t remainder = 0;   //!< remainder CSR
+    std::int64_t full_csr = 0;    //!< v1 only: the duplicated full CSR
+    std::int64_t records = 0;     //!< header, TOCs and operand records
+    std::int64_t padding = 0;     //!< bytes no section covers (alignment)
+
+    std::int64_t
+    total() const
+    {
+        return codebooks + assignments + mask_codes + tiles + remainder
+            + full_csr + records + padding;
+    }
+};
+
+/** Split a validated image into MvqiSectionBytes. */
+MvqiSectionBytes mvqiSectionBytes(const MvqiView &view);
 
 } // namespace mvq::core::io
 

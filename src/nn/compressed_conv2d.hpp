@@ -85,14 +85,6 @@ class CompressedConv2d
     /** Kept fraction of the packed operand (N/M for an exact N:M layer). */
     double density() const;
 
-    /** The packed single-row (CSR) operand of one group
-     *  (tests/diagnostics). */
-    const SparseRowMatrix &
-    groupOperand(std::int64_t grp) const
-    {
-        return (*group_rows_)[static_cast<std::size_t>(grp)].rows;
-    }
-
     /** The bucketed multi-row operand of one group (tests/diagnostics). */
     const GroupedSparseMatrix &
     groupedOperand(std::int64_t grp) const

@@ -452,9 +452,11 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
     if (!rows.validated)
         validateSparseOperand(rows);
 
+    // The input CSR is consumed: every entry lands in exactly one tile or
+    // the remainder, and only its shape and count are kept.
     GroupedSparseMatrix out;
-    out.rows = std::move(rows);
-    const SparseRowMatrix &src = out.rows;
+    out.rows = {rows.rows, rows.cols, rows.nnz()};
+    const SparseRowMatrix &src = rows;
 
     // Remainder entries accumulate as (row, col, value) triples; the rows
     // emerge block by block in ascending order and each row's columns stay
@@ -743,8 +745,8 @@ gemmSparseBlockedDriver(const SparseRowMatrix &a, std::int64_t n,
 }
 
 /**
- * Structural check of a grouped operand's tile/band layer (the CSR
- * members are checked by checkSparseOperand). Like the CSR invariants,
+ * Structural check of a grouped operand's tile/band layer (the remainder
+ * CSR is checked by checkSparseOperand). Like the CSR invariants,
  * these are memory safety: the grouped driver binary-searches each tile's
  * shared column list and indexes C rows and the vals/cols pools straight
  * from the tile fields. Builders validate once at pack time; hand-built
@@ -798,7 +800,7 @@ checkGroupedOperand(const GroupedSparseMatrix &a)
         covered += static_cast<std::int64_t>(t.nrows) * t.ncols;
     }
     panicIf(covered + a.remainder.nnz() != a.rows.nnz(),
-            "grouped operand tiles + remainder do not partition nnz: ",
+            "grouped operand tiles + remainder do not add up to nnz: ",
             covered, " + ", a.remainder.nnz(), " != ", a.rows.nnz());
 }
 
@@ -1004,10 +1006,8 @@ gemmSparseA(const SparseRowMatrix &a, const Tensor &b, Tensor &c,
 void
 validateGroupedOperand(GroupedSparseMatrix &a)
 {
-    checkSparseOperand(a.rows);
     checkSparseOperand(a.remainder);
     checkGroupedOperand(a);
-    a.rows.validated = true;
     a.remainder.validated = true;
     a.validated = true;
 }
@@ -1017,22 +1017,22 @@ gemmSparseARaw(const GroupedSparseMatrix &a, const float *pb,
                std::int64_t ldb, std::int64_t n, float alpha, float beta,
                float *pc, std::int64_t ldc)
 {
-    // Tile-free operands and small problems route through the single-row
-    // entry point on the embedded full operand — the exact code the
-    // ungrouped path runs, so results are bit-identical.
-    if (a.tiles.empty() || a.rows.nnz() * n <= kGemmScalarFallbackMacs) {
-        gemmSparseARaw(a.rows, pb, ldb, n, alpha, beta, pc, ldc);
+    // A tile-free operand's remainder is the whole CSR, entry for entry:
+    // the single-row entry point on it is the exact code the ungrouped
+    // path runs, so results are bit-identical. Anything tiled takes the
+    // grouped driver at every problem size.
+    if (a.tiles.empty()) {
+        gemmSparseARaw(a.remainder, pb, ldb, n, alpha, beta, pc, ldc);
         return;
     }
     if (!a.validated) {
-        checkSparseOperand(a.rows);
         checkSparseOperand(a.remainder);
         checkGroupedOperand(a);
     }
     const std::int64_t m = a.rows.rows;
 
     scaleCRows(pc, m, n, ldc, beta);
-    if (m == 0 || n == 0 || a.rows.nnz() == 0)
+    if (m == 0 || n == 0)
         return;
 
     gemmSparseGroupedBlockedDriver(
@@ -1048,7 +1048,7 @@ void
 gemmSparseA(const GroupedSparseMatrix &a, const Tensor &b, Tensor &c,
             float alpha, float beta)
 {
-    checkSparseGemmShapes(a.rows, b, c, "gemmSparseA");
+    checkSparseGemmShapes(a.remainder, b, c, "gemmSparseA");
     gemmSparseARaw(a, b.data(), b.dim(1), b.dim(1), alpha, beta, c.data(),
                    b.dim(1));
 }
@@ -1322,15 +1322,13 @@ gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
                   float alpha, float beta, float *pc, std::int64_t ldc)
 {
     // Same forwarding rule as the grouped gemmSparseARaw: nothing tiled
-    // or below the crossover -> the single-row entry point on the
-    // embedded full operand, bit-identical to the ungrouped path.
-    if (a.tiles.empty()
-        || a.rows.nnz() * b.cols() <= kGemmScalarFallbackMacs) {
-        gemmSparseAIm2col(a.rows, b, alpha, beta, pc, ldc);
+    // -> the single-row entry point on the remainder (the whole operand),
+    // bit-identical to the ungrouped path.
+    if (a.tiles.empty()) {
+        gemmSparseAIm2col(a.remainder, b, alpha, beta, pc, ldc);
         return;
     }
     if (!a.validated) {
-        checkSparseOperand(a.rows);
         checkSparseOperand(a.remainder);
         checkGroupedOperand(a);
     }
@@ -1342,7 +1340,7 @@ gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
     const std::int64_t n = b.cols();
 
     scaleCRows(pc, m, n, ldc, beta);
-    if (m == 0 || n == 0 || a.rows.nnz() == 0)
+    if (m == 0 || n == 0)
         return;
 
     gemmSparseGroupedBlockedDriver(

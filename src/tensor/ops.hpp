@@ -153,13 +153,12 @@ SparseRowMatrix sparsifyRows(const Tensor &a);
 struct GroupedSparseMatrix;
 
 /**
- * Full structural validation of a grouped operand: the embedded CSR
- * operands (rows + remainder) via validateSparseOperand's invariants plus
- * the tile/band layer (tile rows ascending and in range, column/value
- * pools covered, band_ptr covering tiles, tiles + remainder partitioning
- * rows.nnz()). Panics (PanicError) on violation; marks every validated
- * flag on success. groupSparseRows validates what it builds; this entry
- * point exists for operands assembled from *untrusted* storage — above
+ * Full structural validation of a grouped operand: the remainder CSR via
+ * validateSparseOperand's invariants plus the tile/band layer (tile rows
+ * ascending and in range, column/value pools covered, band_ptr covering
+ * tiles, tiles + remainder adding up to rows.nnz()). Panics (PanicError)
+ * on violation; marks every validated flag on success. groupSparseRows
+ * validates what it builds; this entry point exists for operands assembled from *untrusted* storage — above
  * all borrowed views over an MVQI model image, where these invariants
  * are the line between a corrupt file failing loudly and the kernels
  * reading out of bounds.
@@ -189,10 +188,10 @@ constexpr std::int64_t kSparseTileMaxRows = 4;
  * Entries not worth tiling (columns kept by a single row of their block,
  * buckets too short to amortize the tile setup, leftover rows of an
  * odd-sized bucket) stay in `remainder`, a CSR over the same row/column
- * space driven by the single-row kernel. Tiles + remainder partition
- * rows.nnz() exactly. The full `rows` operand is retained for the
- * tile-free and small-problem paths (bit-identical to the ungrouped
- * entry points) and as the shape/validation source of truth.
+ * space driven by the single-row kernel. Tiles + remainder partition the
+ * kept entries exactly, and each entry is stored once: `rows` records
+ * only the shape and the kept count. A tile-free operand's remainder is
+ * the whole CSR, entry for entry in the original order.
  */
 struct GroupedSparseMatrix
 {
@@ -208,7 +207,18 @@ struct GroupedSparseMatrix
         std::int64_t val_off = 0; //!< into vals; nrows x ncols row-major
     };
 
-    SparseRowMatrix rows;      //!< full single-row operand
+    /** Shape and kept-entry count; the entries live in tiles and
+     *  remainder only. */
+    struct Dims
+    {
+        std::int64_t rows = 0; //!< logical row count (m of the gemm)
+        std::int64_t cols = 0; //!< logical column count (k of the gemm)
+        std::int64_t kept = 0; //!< tileNnz() + remainder.nnz()
+
+        std::int64_t nnz() const { return kept; }
+    };
+
+    Dims rows;
     OperandArray<Tile> tiles;  //!< bucket chunks, grouped into bands
     OperandArray<std::int32_t> cols; //!< shared column patterns, ascending
     OperandArray<float> vals;        //!< tile values, row-major per tile
@@ -224,7 +234,7 @@ struct GroupedSparseMatrix
     SparseRowMatrix remainder; //!< untiled entries (single-row kernel)
     bool validated = false;    //!< set by the builders after checking
 
-    /** Kept entries covered by tiles (rows.nnz() - remainder.nnz()). */
+    /** Kept entries held by tiles (rows.nnz() - remainder.nnz()). */
     std::int64_t
     tileNnz() const
     {
@@ -255,8 +265,9 @@ struct GroupedSparseMatrix
  * structure gets discovered. min_cols keeps tiles long enough to amortize
  * their per-panel accumulator setup against short shared patterns.
  * Deterministic: bucket order is first appearance within a block, blocks
- * ascend. Validates `rows` (and the derived remainder) as a side effect;
- * panics if `rows` is malformed.
+ * ascend. Consumes `rows`: every entry moves into a tile or the
+ * remainder. Validates `rows` (and the derived remainder) as a side
+ * effect; panics if `rows` is malformed.
  */
 GroupedSparseMatrix groupSparseRows(SparseRowMatrix rows,
                                     std::int64_t m_block = 16,
@@ -269,9 +280,10 @@ GroupedSparseMatrix groupSparseRows(SparseRowMatrix rows,
  * micro-kernel (one shared B-row load per tile) and the remainder rows
  * through the single-row kernel, in a fixed order per C element —
  * bit-identical for any thread count within an ISA, and within 1e-4 of
- * gemmSparseAReference. Tile-free operands and problems below the scalar
- * crossover forward to the SparseRowMatrix overloads on a.rows,
- * reproducing the single-row path bit-for-bit.
+ * gemmSparseAReference. Tile-free operands forward to the
+ * SparseRowMatrix overloads on a.remainder (then the whole operand),
+ * reproducing the single-row path bit-for-bit; operands with tiles always
+ * take the grouped driver, whatever the problem size.
  */
 void gemmSparseA(const GroupedSparseMatrix &a, const Tensor &b, Tensor &c,
                  float alpha = 1.0f, float beta = 0.0f);

@@ -5,9 +5,10 @@
  * active MVQ_SIMD ISA), the `.mvq` open converting to an in-memory
  * image, borrowed-view vs owned-operand forward identity,
  * operand sharing/caching, mapping lifetime, the aligned-heap fallback,
- * and the checked-in golden fixture pinning MVQI format v1 byte-for-byte.
+ * the checked-in golden fixture pinning MVQI format v2 byte-for-byte, and
+ * the frozen v1 fixture still loading, forwarding and upgrading.
  *
- * Regenerate the fixture (after an *intentional* format change — bump
+ * Regenerate the v2 fixture (after an *intentional* format change — bump
  * kMvqiVersion!) with:  MVQ_WRITE_GOLDEN=1 ./model_artifact_test
  */
 
@@ -20,15 +21,12 @@
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
+#include "common/simd_dispatch.hpp"
 #include "core/io/model_artifact.hpp"
 #include "core/serialize.hpp"
 #include "mvqi_test_util.hpp"
 #include "nn/compressed_conv2d.hpp"
 #include "tensor/ops.hpp"
-
-#ifndef MVQ_SOURCE_DIR
-#define MVQ_SOURCE_DIR "."
-#endif
 
 namespace mvq::core {
 namespace {
@@ -152,12 +150,13 @@ TEST_F(ModelArtifactTest, BorrowedViewsAliasTheImageZeroCopy)
             for (const GroupedSparseMatrix &g : *ops) {
                 // Borrowed mode, and every array points into the image —
                 // no packGroupedRows at borrow time, no copies.
-                EXPECT_TRUE(g.rows.values.borrowed()) << path;
+                EXPECT_TRUE(g.remainder.row_ptr.borrowed()) << path;
+                EXPECT_TRUE(g.remainder.col_idx.borrowed()) << path;
+                EXPECT_TRUE(g.remainder.values.borrowed()) << path;
                 EXPECT_TRUE(g.tiles.borrowed()) << path;
                 EXPECT_TRUE(g.band_ptr.borrowed()) << path;
-                EXPECT_TRUE(g.remainder.values.borrowed()) << path;
                 const auto *p = reinterpret_cast<const std::uint8_t *>(
-                    g.rows.values.data());
+                    g.remainder.row_ptr.data());
                 EXPECT_TRUE(p >= base && p <= end) << path;
                 EXPECT_TRUE(g.validated) << path;
             }
@@ -245,16 +244,16 @@ TEST_F(ModelArtifactTest, NonBakedGroupCountFallsBackCorrectly)
     const auto m = io::openArtifact(image_path_);
     EXPECT_TRUE(tensorsBitIdentical(forwardLayer(*s, 1, 1, 6),
                                     forwardLayer(*m, 1, 1, 6)));
-    EXPECT_FALSE((*m->packedOperands(1, 1))[0].rows.values.borrowed());
+    EXPECT_FALSE(
+        (*m->packedOperands(1, 1))[0].remainder.row_ptr.borrowed());
 }
 
-TEST(MvqiGolden, FixturePinsFormatV1)
+TEST(MvqiGolden, FixturePinsFormatV2)
 {
-    // Byte-for-byte lock on the checked-in v1 image. If this fails you
+    // Byte-for-byte lock on the checked-in v2 image. If this fails you
     // changed the on-disk layout: bump kMvqiVersion, update
     // docs/FORMAT.md, and regenerate with MVQ_WRITE_GOLDEN=1.
-    const std::string golden_path =
-        std::string(MVQ_SOURCE_DIR) + "/tests/data/golden_v1.mvqi";
+    const std::string golden_path = goldenPath("golden_v2.mvqi");
     const std::vector<std::uint8_t> image =
         io::buildMvqiImage(makeGoldenModel(), goldenWriteOptions());
 
@@ -266,24 +265,20 @@ TEST(MvqiGolden, FixturePinsFormatV1)
         GTEST_SKIP() << "regenerated " << golden_path;
     }
 
-    std::ifstream in(golden_path, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "missing fixture " << golden_path;
-    const std::vector<std::uint8_t> golden(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
+    const std::vector<std::uint8_t> golden = readBytes(golden_path);
     ASSERT_EQ(image.size(), golden.size());
     EXPECT_EQ(std::memcmp(image.data(), golden.data(), image.size()), 0)
-        << "MVQI writer output drifted from the v1 fixture";
+        << "MVQI writer output drifted from the v2 fixture";
 }
 
 TEST(MvqiGolden, FixtureLoadsAndForwards)
 {
-    // The fixture is not just bytes: it must open, validate, and serve
-    // borrowed operands that forward bit-identically to a fresh image.
-    const std::string golden_path =
-        std::string(MVQ_SOURCE_DIR) + "/tests/data/golden_v1.mvqi";
-    const auto art = io::openArtifact(golden_path);
+    // The frozen v1 fixture is not just bytes: it must open, validate,
+    // and serve borrowed operands that forward bit-identically to a
+    // fresh image.
+    const auto art = io::openArtifact(goldenPath("golden_v1.mvqi"));
     ASSERT_EQ(art->layerCount(), 2);
+    EXPECT_EQ(art->view().header().version, 1u);
 
     const std::string fresh_path = tmpPath("mvq_golden_fresh.mvqi");
     io::saveArtifact(makeGoldenModel(), fresh_path,
@@ -294,6 +289,89 @@ TEST(MvqiGolden, FixtureLoadsAndForwards)
     EXPECT_TRUE(tensorsBitIdentical(forwardLayer(*art, 1, 2, 6),
                                     forwardLayer(*fresh, 1, 2, 6)));
     std::remove(fresh_path.c_str());
+}
+
+TEST(MvqiGolden, V1FixtureForwardsMatchV2ImagePerIsa)
+{
+    // The v1 record's extra full CSR is never read: both versions serve
+    // the same tiles + remainder, so forwards memcmp-match on every ISA.
+    const simd::Isa saved = simd::activeIsa();
+    const auto v1 = io::openArtifact(goldenPath("golden_v1.mvqi"));
+    const std::string v2_path = tmpPath("mvq_golden_v2_isa.mvqi");
+    io::saveArtifact(makeGoldenModel(), v2_path, io::ArtifactFormat::Mvqi,
+                     goldenWriteOptions());
+    const auto v2 = io::openArtifact(v2_path);
+    ASSERT_EQ(v2->view().header().version, io::kMvqiVersion);
+    for (simd::Isa isa :
+         {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Neon}) {
+        if (!simd::isaAvailable(isa))
+            continue;
+        ASSERT_TRUE(simd::setIsa(isa));
+        for (std::int64_t i = 0; i < 2; ++i) {
+            const std::int64_t groups = v2->bakedGroups(i);
+            EXPECT_TRUE(tensorsBitIdentical(forwardLayer(*v1, i, groups, 6),
+                                            forwardLayer(*v2, i, groups, 6)))
+                << simd::isaName(isa) << " layer " << i;
+        }
+    }
+    simd::setIsa(saved);
+    std::remove(v2_path.c_str());
+}
+
+TEST(MvqiGolden, V1FixtureUpgradesToTheV2Image)
+{
+    // Re-encoding the v1 fixture's model (at its baked groups) writes the
+    // v2 image of the model it was built from, byte for byte — the
+    // one-step `mvqi convert` upgrade.
+    const std::string out_path = tmpPath("mvq_golden_upgraded.mvqi");
+    io::saveArtifact(
+        io::openArtifact(goldenPath("golden_v1.mvqi"))->model(), out_path,
+        io::ArtifactFormat::Mvqi, goldenWriteOptions());
+    const std::vector<std::uint8_t> upgraded = readBytes(out_path);
+    const std::vector<std::uint8_t> image =
+        io::buildMvqiImage(makeGoldenModel(), goldenWriteOptions());
+    EXPECT_EQ(upgraded, image);
+    std::remove(out_path.c_str());
+}
+
+TEST(MvqiGolden, SectionsSumToTheFileSize)
+{
+    // `mvqi info`'s split: every byte in exactly one section kind. Both
+    // versions hold the same codebooks, symbols, tiles and remainder; v1
+    // adds the full CSR copy and 48 more bytes per operand record.
+    const std::vector<std::uint8_t> v1 =
+        readBytes(goldenPath("golden_v1.mvqi"));
+    const std::vector<std::uint8_t> v2 =
+        readBytes(goldenPath("golden_v2.mvqi"));
+    const io::MvqiView view1(v1.data(),
+                             static_cast<std::int64_t>(v1.size()),
+                             "golden_v1");
+    const io::MvqiView view2(v2.data(),
+                             static_cast<std::int64_t>(v2.size()),
+                             "golden_v2");
+    const io::MvqiSectionBytes s1 = io::mvqiSectionBytes(view1);
+    const io::MvqiSectionBytes s2 = io::mvqiSectionBytes(view2);
+    EXPECT_EQ(s1.total(), view1.size());
+    EXPECT_EQ(s2.total(), view2.size());
+    // v1's copy: row_ptr (rows+1 x i64) plus an i32 column and an f32
+    // value per kept weight, for each operand.
+    std::int64_t full_csr = 0;
+    for (std::int64_t i = 0; i < view1.layerCount(); ++i)
+        for (std::int64_t g = 0; g < view1.layer(i).groups; ++g) {
+            const io::MvqiOperand op = view1.operand(i, g);
+            full_csr += (op.rows + 1) * 8
+                + (op.tile_vals.count + op.rem_values.count) * 8;
+        }
+    EXPECT_EQ(s1.full_csr, full_csr);
+    EXPECT_EQ(s2.full_csr, 0);
+    EXPECT_EQ(s1.codebooks, s2.codebooks);
+    EXPECT_EQ(s1.assignments, s2.assignments);
+    EXPECT_EQ(s1.mask_codes, s2.mask_codes);
+    EXPECT_EQ(s1.tiles, s2.tiles);
+    EXPECT_EQ(s1.remainder, s2.remainder);
+    EXPECT_GT(s2.remainder, 0);
+    // Three operand records (one + two groups), 176 vs 128 bytes each.
+    EXPECT_EQ(s1.records - s2.records, 3 * (176 - 128));
 }
 
 } // namespace

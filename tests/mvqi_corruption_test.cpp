@@ -5,10 +5,11 @@
  * flips, load correctly) — never undefined behaviour, never a crash,
  * never an escaped PanicError. The targeted cases pin one diagnostic each
  * (truncation, bad magic, wrong version, misaligned section, out-of-range
- * TOC, inconsistent counts, semantically corrupt operands, assignments
- * past their codebook, subvector counts the kernel shape contradicts);
- * the deterministic byte-flip sweep is the fuzz-style pass the ASan/UBSan
- * CI job runs over.
+ * TOC, inconsistent counts, v1 records under a v2 header, a truncated v2
+ * record table, semantically corrupt operands, assignments past their
+ * codebook, subvector counts the kernel shape contradicts); the
+ * deterministic byte-flip sweep, over both a v2 image and the frozen v1
+ * fixture, is the fuzz-style pass the ASan/UBSan CI job runs over.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string>
 
 #include "common/fault.hpp"
 #include "common/logging.hpp"
@@ -37,6 +39,13 @@ validImage()
     static const std::vector<std::uint8_t> image =
         io::buildMvqiImage(makeGoldenModel(), goldenWriteOptions());
     return image;
+}
+
+/** The frozen v1 fixture: same model, 176-byte operand records. */
+std::vector<std::uint8_t>
+v1Image()
+{
+    return readBytes(goldenPath("golden_v1.mvqi"));
 }
 
 void
@@ -147,8 +156,54 @@ TEST_F(MvqiCorruptionTest, BadMagic)
 
 TEST_F(MvqiCorruptionTest, WrongVersion)
 {
-    patchU32(4, io::kMvqiVersion + 7);
-    expectFatal("unsupported MVQI version");
+    // The versions just outside the readable range (0 and 3), and one far
+    // past it.
+    for (const std::uint32_t v :
+         {io::kMvqiMinVersion - 1, io::kMvqiVersion + 1,
+          io::kMvqiVersion + 7}) {
+        patchU32(4, v);
+        expectFatal("unsupported MVQI version " + std::to_string(v));
+    }
+}
+
+TEST_F(MvqiCorruptionTest, V1RecordsUnderV2HeaderRejectedStructurally)
+{
+    // Relabel the v1 fixture as v2: the reader then walks its 176-byte
+    // operand records at the 128-byte stride and reads full-CSR fields as
+    // tile and remainder sections. The structural view must refuse the
+    // file before any operand is borrowed.
+    std::vector<std::uint8_t> img = v1Image();
+    ASSERT_GT(img.size(), 8u);
+    const std::uint32_t v2 = 2;
+    std::memcpy(img.data() + 4, &v2, sizeof(v2));
+    EXPECT_THROW(io::MvqiView(img.data(),
+                              static_cast<std::int64_t>(img.size()),
+                              "relabelled v1"),
+                 FatalError);
+    writeBytes(img);
+    expectFatal(kPath);
+}
+
+TEST_F(MvqiCorruptionTest, TruncatedV2RecordTableRejected)
+{
+    // The last layer's operand records are the image's final section: cut
+    // the file inside them and make file_bytes agree, so only the record
+    // table bounds check stands between the reader and the missing bytes.
+    std::vector<std::uint8_t> img = validImage();
+    io::MvqiHeader h;
+    std::memcpy(&h, img.data(), sizeof(h));
+    io::MvqiLayer last;
+    std::memcpy(&last,
+                img.data() + h.layer_toc_off
+                    + (h.n_layers - 1) * sizeof(io::MvqiLayer),
+                sizeof(last));
+    ASSERT_EQ(last.operands_off + last.groups * sizeof(io::MvqiOperand),
+              img.size());
+    img.resize(img.size() - sizeof(io::MvqiOperand) / 2);
+    h.file_bytes = img.size();
+    std::memcpy(img.data(), &h, sizeof(h));
+    writeBytes(img);
+    expectFatal("operand records");
 }
 
 TEST_F(MvqiCorruptionTest, MisalignedSection)
@@ -195,9 +250,9 @@ TEST_F(MvqiCorruptionTest, SemanticOperandCorruption)
     std::memcpy(&L, img.data() + h.layer_toc_off, sizeof(L));
     io::MvqiOperand op;
     std::memcpy(&op, img.data() + L.operands_off, sizeof(op));
-    ASSERT_GT(op.col_idx.count, 0);
+    ASSERT_GT(op.rem_col_idx.count, 0);
     const std::int32_t bogus = static_cast<std::int32_t>(op.cols) + 99;
-    std::memcpy(img.data() + op.col_idx.off, &bogus, sizeof(bogus));
+    std::memcpy(img.data() + op.rem_col_idx.off, &bogus, sizeof(bogus));
     writeBytes(img);
     expectFatal("corrupt MVQI operand");
 }
@@ -284,29 +339,34 @@ TEST_F(MvqiCorruptionTest, TruncatedThenMmapThroughFaultSite)
 TEST_F(MvqiCorruptionTest, DeterministicByteFlipSweep)
 {
     // Fuzz-style negative corpus: XOR one byte at a stride of positions
-    // across the whole image. Every mutant must either load + forward
-    // cleanly (flips in float payloads, names, or padding are benign) or
-    // fail with FatalError. Anything else — crash, PanicError, UB under
-    // the sanitizer job — is a firewall bug.
-    const std::vector<std::uint8_t> img = validImage();
-    std::size_t loaded = 0;
-    std::size_t rejected = 0;
-    for (std::size_t off = 0; off < img.size(); off += 37) {
-        std::vector<std::uint8_t> mutant = img;
-        mutant[off] ^= 0xA5u;
-        writeBytes(mutant);
-        try {
-            loadAndUse();
-            ++loaded;
-        } catch (const FatalError &) {
-            ++rejected;
+    // across the whole image, for the v2 image the writer emits and for
+    // the frozen v1 fixture (whose full-CSR sections the reader must
+    // bound but never read). Every mutant must either load + forward
+    // cleanly (flips in float payloads, names, padding or the unread v1
+    // copy are benign) or fail with FatalError. Anything else — crash,
+    // PanicError, UB under the sanitizer job — is a firewall bug.
+    for (const std::vector<std::uint8_t> &img : {validImage(), v1Image()}) {
+        ASSERT_FALSE(img.empty());
+        std::size_t loaded = 0;
+        std::size_t rejected = 0;
+        for (std::size_t off = 0; off < img.size(); off += 37) {
+            std::vector<std::uint8_t> mutant = img;
+            mutant[off] ^= 0xA5u;
+            writeBytes(mutant);
+            try {
+                loadAndUse();
+                ++loaded;
+            } catch (const FatalError &) {
+                ++rejected;
+            }
+            // No other exception type may escape; PanicError or a signal
+            // here fails the test (and trips ASan/UBSan in the sanitize
+            // job).
         }
-        // No other exception type may escape; PanicError or a signal
-        // here fails the test (and trips ASan/UBSan in the sanitize job).
+        // The sweep must have exercised both outcomes.
+        EXPECT_GT(loaded, 0u) << img.size() << "-byte image";
+        EXPECT_GT(rejected, 0u) << img.size() << "-byte image";
     }
-    // The sweep must have exercised both outcomes.
-    EXPECT_GT(loaded, 0u);
-    EXPECT_GT(rejected, 0u);
 }
 
 } // namespace

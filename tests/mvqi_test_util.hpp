@@ -3,19 +3,29 @@
  * Shared helpers for the model-artifact / MVQI tests: a byte-deterministic
  * compressed model for the golden fixture (no float *computation* — every
  * stored value is an exact binary fraction derived from integers, so the
- * emitted image is identical across compilers and -ffp-contract choices)
- * and a small randomized model for round-trip checks.
+ * emitted image is identical across compilers and -ffp-contract choices),
+ * the write options the golden images bake, and fixture file access.
  */
 
 #ifndef MVQ_TESTS_MVQI_TEST_UTIL_HPP
 #define MVQ_TESTS_MVQI_TEST_UTIL_HPP
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "core/compressed_layer.hpp"
 #include "core/io/mvqi_format.hpp"
 #include "core/mask_codec.hpp"
 #include "core/nm_pruning.hpp"
+
+#ifndef MVQ_SOURCE_DIR
+#define MVQ_SOURCE_DIR "."
+#endif
 
 namespace mvq::core {
 
@@ -107,6 +117,23 @@ goldenWriteOptions()
     io::MvqiWriteOptions opts;
     opts.layer_groups["conv1_grouped"] = 2;
     return opts;
+}
+
+/** Path of a checked-in fixture under tests/data/. */
+inline std::string
+goldenPath(const char *name)
+{
+    return std::string(MVQ_SOURCE_DIR) + "/tests/data/" + name;
+}
+
+/** Whole-file read (empty, with a test failure, if it cannot be read). */
+inline std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "missing file " << path;
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
 }
 
 } // namespace mvq::core

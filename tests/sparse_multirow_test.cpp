@@ -3,14 +3,16 @@
  * Multi-row sparse micro-kernel coverage: the groupSparseRows bucketing
  * (tiles + remainder partition, adversarial bucket shapes), the grouped
  * gemm entry points vs gemmSparseAReference and — bit-for-bit — vs the
- * single-row path wherever the contract promises identity (no tiles,
- * below the crossover), the per-ISA multi-row kernels against the scalar
- * table, thread-count determinism, and the packGroupedRows conv path
+ * single-row path wherever the contract promises identity (no tiles), the
+ * per-ISA multi-row kernels against the scalar table, thread-count
+ * determinism (also below the scalar crossover, where tiled operands
+ * still take the grouped driver), and the packGroupedRows conv path
  * (single-row im2col composition, grouped + strided).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -85,6 +87,57 @@ blockPatternedMatrix(std::uint64_t seed, std::int64_t rows,
     return a;
 }
 
+/**
+ * A tiled problem below kGemmScalarFallbackMacs (m=16, k=64, n=8, every
+ * entry tiled): operands with tiles take the grouped driver at every
+ * problem size, so it joins the reference and determinism checks.
+ */
+Tensor
+smallTiledMatrix()
+{
+    return blockPatternedMatrix(71, 16, 64);
+}
+constexpr std::int64_t kSmallTiledN = 8;
+
+/** Tiles + remainder merged back into one CSR, columns ascending per row:
+ *  what a grouped operand must hold, entry for entry. */
+SparseRowMatrix
+mergedRows(const GroupedSparseMatrix &g)
+{
+    std::vector<std::vector<std::pair<std::int32_t, float>>> rows(
+        static_cast<std::size_t>(g.rows.rows));
+    const SparseRowMatrix &rem = g.remainder;
+    for (std::int64_t r = 0; r < rem.rows; ++r)
+        for (std::int64_t e = rem.row_ptr[static_cast<std::size_t>(r)];
+             e < rem.row_ptr[static_cast<std::size_t>(r + 1)]; ++e)
+            rows[static_cast<std::size_t>(r)].emplace_back(
+                rem.col_idx[static_cast<std::size_t>(e)],
+                rem.values[static_cast<std::size_t>(e)]);
+    for (const GroupedSparseMatrix::Tile &t : g.tiles)
+        for (std::int32_t r = 0; r < t.nrows; ++r)
+            for (std::int64_t q = 0; q < t.ncols; ++q)
+                rows[static_cast<std::size_t>(t.row[r])].emplace_back(
+                    g.cols[static_cast<std::size_t>(t.col_off + q)],
+                    g.vals[static_cast<std::size_t>(t.val_off
+                                                    + r * t.ncols + q)]);
+    SparseRowMatrix sp;
+    sp.rows = g.rows.rows;
+    sp.cols = g.rows.cols;
+    sp.row_ptr.push_back(0);
+    for (auto &row : rows) {
+        std::sort(row.begin(), row.end(),
+                  [](const auto &x, const auto &y) {
+                      return x.first < y.first;
+                  });
+        for (const auto &[col, val] : row) {
+            sp.col_idx.push_back(col);
+            sp.values.push_back(val);
+        }
+        sp.row_ptr.push_back(static_cast<std::int64_t>(sp.values.size()));
+    }
+    return sp;
+}
+
 void
 expectClose(const Tensor &ref, const Tensor &got, const char *what)
 {
@@ -111,7 +164,6 @@ TEST(GroupSparseRows, TilesAndRemainderPartitionTheOperand)
     Tensor a = blockPatternedMatrix(3, 64, 256);
     const GroupedSparseMatrix g = groupSparseRows(sparsifyRows(a), 16);
     EXPECT_TRUE(g.validated);
-    EXPECT_TRUE(g.rows.validated);
     EXPECT_TRUE(g.remainder.validated);
     EXPECT_EQ(g.rows.nnz(), 64 * 256 / 4);
     // Every block is one 16-row bucket -> four 4-row tiles, no remainder.
@@ -256,6 +308,28 @@ TEST(SparseMultiRow, GroupedGemmMatchesReferenceAllIsas)
     }
 }
 
+/** Grouped gemm of `a` (k x n B from `seed`) vs the reference, per ISA. */
+void
+expectGroupedMatchesReference(const Tensor &a, std::int64_t n,
+                              std::uint64_t seed)
+{
+    const SparseRowMatrix sp = sparsifyRows(a);
+    const GroupedSparseMatrix g = groupSparseRows(sp, 16);
+    ASSERT_GT(g.tileNnz(), 0);
+    Rng rng(seed);
+    Tensor b(Shape({a.dim(1), n}));
+    b.fillNormal(rng, 0.0f, 1.0f);
+
+    Tensor c_oracle(Shape({a.dim(0), n}));
+    gemmSparseAReference(sp, b, c_oracle);
+    for (Isa isa : availableIsas()) {
+        ASSERT_TRUE(simd::setIsa(isa));
+        Tensor c_grouped(Shape({a.dim(0), n}));
+        gemmSparseA(g, b, c_grouped);
+        expectClose(c_oracle, c_grouped, simd::isaName(isa));
+    }
+}
+
 TEST(SparseMultiRow, MixedTileAndRemainderMatchesReferenceAllIsas)
 {
     IsaGuard guard;
@@ -269,22 +343,15 @@ TEST(SparseMultiRow, MixedTileAndRemainderMatchesReferenceAllIsas)
             for (std::int64_t j = 0; j < k; ++j)
                 a.at(i, j) = r.at(i, j);
     }
-    const SparseRowMatrix sp = sparsifyRows(a);
-    const GroupedSparseMatrix g = groupSparseRows(sp, 16);
-    ASSERT_GT(g.tileNnz(), 0);
-    ASSERT_GT(g.remainder.nnz(), 0);
-    Rng rng(43);
-    Tensor b(Shape({k, n}));
-    b.fillNormal(rng, 0.0f, 1.0f);
+    ASSERT_GT(groupSparseRows(sparsifyRows(a), 16).remainder.nnz(), 0);
+    expectGroupedMatchesReference(a, n, 43);
 
-    Tensor c_oracle(Shape({m, n}));
-    gemmSparseAReference(sp, b, c_oracle);
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        Tensor c_grouped(Shape({m, n}));
-        gemmSparseA(g, b, c_grouped);
-        expectClose(c_oracle, c_grouped, simd::isaName(isa));
-    }
+    // Below the crossover the tiled operand still runs the grouped
+    // driver.
+    const Tensor small = smallTiledMatrix();
+    ASSERT_LE(sparsifyRows(small).nnz() * kSmallTiledN,
+              kGemmScalarFallbackMacs);
+    expectGroupedMatchesReference(small, kSmallTiledN, 72);
 }
 
 TEST(SparseMultiRow, TileFreeOperandForwardsBitIdentically)
@@ -312,26 +379,6 @@ TEST(SparseMultiRow, TileFreeOperandForwardsBitIdentically)
     }
 }
 
-TEST(SparseMultiRow, SmallProblemForwardsBitIdentically)
-{
-    IsaGuard guard;
-    const std::int64_t m = 16, k = 64, n = 8;
-    Tensor a = blockPatternedMatrix(71, m, k);
-    const SparseRowMatrix sp = sparsifyRows(a);
-    const GroupedSparseMatrix g = groupSparseRows(sp, 16);
-    ASSERT_GT(g.tileNnz(), 0);
-    ASSERT_LE(sp.nnz() * n, kGemmScalarFallbackMacs); // row-scan side
-    Rng rng(72);
-    Tensor b(Shape({k, n}));
-    b.fillNormal(rng, 0.0f, 1.0f);
-
-    Tensor c_single(Shape({m, n}));
-    gemmSparseA(sp, b, c_single);
-    Tensor c_grouped(Shape({m, n}));
-    gemmSparseA(g, b, c_grouped);
-    expectBitIdentical(c_single, c_grouped, "small-problem crossover");
-}
-
 TEST(SparseMultiRow, AlphaBetaMatchReference)
 {
     IsaGuard guard;
@@ -355,6 +402,29 @@ TEST(SparseMultiRow, AlphaBetaMatchReference)
     }
 }
 
+/** Grouped gemm of `a` at 1 vs 4 threads, bit-identical per ISA. */
+void
+expectThreadCountDeterministic(const Tensor &a, std::int64_t n,
+                               std::uint64_t seed)
+{
+    const GroupedSparseMatrix g = groupSparseRows(sparsifyRows(a), 16);
+    ASSERT_GT(g.tileNnz(), 0);
+    Rng rng(seed);
+    Tensor b(Shape({a.dim(1), n}));
+    b.fillNormal(rng, 0.0f, 1.0f);
+
+    for (Isa isa : availableIsas()) {
+        ASSERT_TRUE(simd::setIsa(isa));
+        setNumThreads(1);
+        Tensor c1(Shape({a.dim(0), n}));
+        gemmSparseA(g, b, c1);
+        setNumThreads(4);
+        Tensor c4(Shape({a.dim(0), n}));
+        gemmSparseA(g, b, c4);
+        expectBitIdentical(c1, c4, simd::isaName(isa));
+    }
+}
+
 TEST(SparseMultiRow, ThreadCountDeterministicPerIsa)
 {
     IsaGuard guard;
@@ -367,24 +437,9 @@ TEST(SparseMultiRow, ThreadCountDeterministicPerIsa)
             for (std::int64_t j = 0; j < k; ++j)
                 a.at(i, j) = r.at(i, j);
     }
-    const SparseRowMatrix sp = sparsifyRows(a);
-    const GroupedSparseMatrix g = groupSparseRows(sp, 16);
-    ASSERT_GT(g.tileNnz(), 0);
-    ASSERT_GT(g.remainder.nnz(), 0);
-    Rng rng(93);
-    Tensor b(Shape({k, n}));
-    b.fillNormal(rng, 0.0f, 1.0f);
-
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        setNumThreads(1);
-        Tensor c1(Shape({m, n}));
-        gemmSparseA(g, b, c1);
-        setNumThreads(4);
-        Tensor c4(Shape({m, n}));
-        gemmSparseA(g, b, c4);
-        expectBitIdentical(c1, c4, simd::isaName(isa));
-    }
+    ASSERT_GT(groupSparseRows(sparsifyRows(a), 16).remainder.nnz(), 0);
+    expectThreadCountDeterministic(a, n, 93);
+    expectThreadCountDeterministic(smallTiledMatrix(), kSmallTiledN, 72);
 }
 
 TEST(SparseMultiRow, MalformedGroupedOperandPanics)
@@ -419,33 +474,40 @@ TEST(SparseMultiRow, PackGroupedRowsMatchesPackSparseRows)
     const SparseRowMatrix full = f.layer.packSparseRows(f.cb);
     EXPECT_TRUE(full.validated);
 
+    // Tiles + remainder, merged per row, are the full pack exactly.
     const auto grouped = f.layer.packGroupedRows(f.cb, 1);
     ASSERT_EQ(grouped.size(), 1u);
     EXPECT_TRUE(grouped[0].validated);
-    EXPECT_EQ(grouped[0].rows.row_ptr, full.row_ptr);
-    EXPECT_EQ(grouped[0].rows.col_idx, full.col_idx);
-    EXPECT_EQ(grouped[0].rows.values, full.values);
+    EXPECT_EQ(grouped[0].rows.nnz(), full.nnz());
     EXPECT_EQ(grouped[0].tileNnz() + grouped[0].remainder.nnz(),
               full.nnz());
+    const SparseRowMatrix merged = mergedRows(grouped[0]);
+    EXPECT_EQ(merged.row_ptr, full.row_ptr);
+    EXPECT_EQ(merged.col_idx, full.col_idx);
+    EXPECT_EQ(merged.values, full.values);
 
     // Two conv groups: each grouped operand must hold exactly its row
     // range of the full pack, with no re-slicing drift.
     const auto halves = f.layer.packGroupedRows(f.cb, 2);
     ASSERT_EQ(halves.size(), 2u);
     std::int64_t total = 0;
-    for (const auto &h : halves) {
-        EXPECT_EQ(h.rows.rows, 16);
-        EXPECT_EQ(h.rows.cols, full.cols);
-        total += h.rows.nnz();
+    for (std::size_t h = 0; h < halves.size(); ++h) {
+        EXPECT_EQ(halves[h].rows.rows, 16);
+        EXPECT_EQ(halves[h].rows.cols, full.cols);
+        total += halves[h].rows.nnz();
+        const SparseRowMatrix part = mergedRows(halves[h]);
+        const std::int64_t e0 = full.row_ptr[16 * h];
+        for (std::size_t r = 0; r <= 16; ++r)
+            EXPECT_EQ(part.row_ptr[r], full.row_ptr[16 * h + r] - e0);
+        ASSERT_EQ(part.nnz(), full.row_ptr[16 * (h + 1)] - e0);
+        for (std::int64_t e = 0; e < part.nnz(); ++e) {
+            const std::size_t se = static_cast<std::size_t>(e);
+            const std::size_t fe = static_cast<std::size_t>(e0 + e);
+            EXPECT_EQ(part.col_idx[se], full.col_idx[fe]);
+            EXPECT_EQ(part.values[se], full.values[fe]);
+        }
     }
     EXPECT_EQ(total, full.nnz());
-    const std::int64_t e0 = full.row_ptr[16];
-    for (std::int64_t e = 0; e < halves[1].rows.nnz(); ++e) {
-        const std::size_t se = static_cast<std::size_t>(e);
-        const std::size_t fe = static_cast<std::size_t>(e0 + e);
-        EXPECT_EQ(halves[1].rows.col_idx[se], full.col_idx[fe]);
-        EXPECT_EQ(halves[1].rows.values[se], full.values[fe]);
-    }
 }
 
 TEST(SparseMultiRow, CompressedConvMatchesSingleRowComposition)
@@ -461,8 +523,10 @@ TEST(SparseMultiRow, CompressedConvMatchesSingleRowComposition)
     Tensor x(Shape({2, 8, 14, 14}));
     x.fillNormal(rng, 0.0f, 1.0f);
 
-    // Oracle: the single-row sparse gemm over the embedded full operand,
-    // composed with a materialized im2col per (batch, group).
+    // Oracle: the single-row sparse gemm over the layer's full CSR pack
+    // (one conv group, so the group's row range is the whole pack),
+    // composed with a materialized im2col per batch item.
+    const SparseRowMatrix full = f.layer.packSparseRows(f.cb);
     const ConvGeom g{8, 14, 14, 3, 3, 1, 1};
     const std::int64_t ohw = g.outH() * g.outW();
     for (Isa isa : availableIsas()) {
@@ -470,8 +534,8 @@ TEST(SparseMultiRow, CompressedConvMatchesSingleRowComposition)
         const Tensor ref = im2colConv(
             x, 32, 1, g,
             [&](std::int64_t grp, const float *cols, float *out) {
-                gemmSparseARaw(conv.groupedOperand(grp).rows, cols, ohw,
-                               ohw, 1.0f, 0.0f, out, ohw);
+                ASSERT_EQ(grp, 0);
+                gemmSparseARaw(full, cols, ohw, ohw, 1.0f, 0.0f, out, ohw);
             });
         const Tensor got = conv.forward(x);
         ASSERT_EQ(ref.shape(), got.shape());
