@@ -183,12 +183,38 @@ BM_Gemm(benchmark::State &state)
 }
 BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
 
-/** Random [rows, cols] matrix with the compressed-layer 4:16 structure. */
+/**
+ * Replace every kept (non-zero) entry of `a` with one of 256 non-zero
+ * "codeword" values drawn from `seed`, as an MVQ layer's weights are: a
+ * sparse operand's entries index a value table of at most 2^16 values
+ * (kMaxValueTable), which a conv-sized matrix of independent normal
+ * draws would overflow. The kept positions, and so the flops, stay the
+ * same.
+ */
+void
+toCodebookValues(Tensor &a, std::uint64_t seed)
+{
+    Rng rng(seed);
+    float table[256];
+    for (float &v : table) {
+        v = 0.0f;
+        while (v == 0.0f)
+            v = rng.normal(0.0f, 1.0f);
+    }
+    for (std::int64_t i = 0; i < a.numel(); ++i)
+        if (a[i] != 0.0f)
+            a[i] = table[rng.intIn(0, 255)];
+}
+
+/** Random [rows, cols] matrix with the compressed-layer 4:16 structure,
+ *  its kept entries drawn from a 256-value codebook. */
 Tensor
 masked416Matrix(std::uint64_t seed, std::int64_t rows, std::int64_t cols)
 {
     Rng rng(seed);
-    return core::randomNmMatrix(rng, rows, cols, core::NmPattern{4, 16});
+    Tensor a = core::randomNmMatrix(rng, rows, cols, core::NmPattern{4, 16});
+    toCodebookValues(a, seed ^ 0xc0deULL);
+    return a;
 }
 
 void
@@ -656,7 +682,8 @@ multiRowReport(const std::string &json)
     core::applyMask(wr, mask);
     const Tensor w4m = core::ungroupWeights(wr, w4.shape(), d,
                                             core::Grouping::OutputChannelWise);
-    const Tensor a = w4m.reshaped(Shape({m, k}));
+    Tensor a = w4m.reshaped(Shape({m, k}));
+    toCodebookValues(a, 12);
     const SparseRowMatrix sp = sparsifyRows(a);
     const GroupedSparseMatrix grp = groupSparseRows(sp, 16);
     // Nothing tiles with min_cols this high: the grouped entry point must

@@ -14,8 +14,10 @@
  *           validation (no decode, no packing)
  *
  * Both paths must produce byte-identical packed operands — the bench
- * compares every array the kernels read (tiles, their column/value
- * pools, band_ptr, the remainder CSR) per group before reporting. Emits
+ * compares every array the kernels read (tiles, their column pool and
+ * codebook-index pool, band_ptr, the remainder's row_ptr and packed
+ * column | codebook-index words, and the value table those indices
+ * read) per group before reporting. Emits
  * JSON-lines records via --json / MVQ_BENCH_JSON, and with
  * MVQ_BENCH_GATE_MIN_LOAD_SPEEDUP set exits nonzero when the measured
  * speedup falls below the floor (CI regression gate).
@@ -116,7 +118,7 @@ operandsIdentical(const std::vector<io::SharedOperands> &a,
                 || !sameBytes(x.band_ptr, y.band_ptr)
                 || !sameBytes(x.remainder.row_ptr, y.remainder.row_ptr)
                 || !sameBytes(x.remainder.col_idx, y.remainder.col_idx)
-                || !sameBytes(x.remainder.values, y.remainder.values))
+                || !sameBytes(x.table(), y.table()))
                 return false;
         }
     }

@@ -7,7 +7,7 @@
  *                                        MVQI version, bytes per section)
  *   mvqi convert <in> <out> [options]    re-encode between the bit-packed
  *                                        stream and the MVQI image; an
- *                                        MVQI v1 input upgrades to v2
+ *                                        MVQI v1/v2 input upgrades to v3
  *   mvqi verify <file>                   load + fully validate every
  *                                        layer's packed operands
  *
@@ -155,8 +155,9 @@ cmdConvert(int argc, char **argv)
 
     const auto art = openArtifact(in);
     if (!groups_set) {
-        // An image re-encoded as-is keeps its baked conv groups, so a v1
-        // image upgrades to the v2 image of the same model in one step.
+        // An image re-encoded as-is keeps its baked conv groups, so a
+        // v1/v2 image upgrades to the v3 image of the same model in one
+        // step.
         for (std::int64_t i = 0; i < art->layerCount(); ++i)
             opts.layer_groups[art->layerName(i)] = art->bakedGroups(i);
     }

@@ -63,10 +63,12 @@ gemmMicroAvx2(const float *ap, const float *bp, std::int64_t kc, float *acc)
  * against its matching packed B row — pruned positions cost nothing.
  */
 void
-gemmSparseMicroAvx2(const float *vals, const std::int32_t *kidx,
+gemmSparseMicroAvx2(const float *table, const std::uint32_t *ents,
                     std::int64_t nnz, std::int64_t k0, const float *bp,
                     std::int64_t /*nr*/, float *acc)
 {
+    constexpr std::uint32_t kIndexMask =
+        (1u << kSparseEntryColumnShift) - 1u;
     __m256 c0[4], c1[4];
     c0[0] = _mm256_loadu_ps(acc);
     c1[0] = _mm256_loadu_ps(acc + 8);
@@ -77,15 +79,23 @@ gemmSparseMicroAvx2(const float *vals, const std::int32_t *kidx,
     std::int64_t q = 0;
     for (; q + 4 <= nnz; q += 4) {
         for (int u = 0; u < 4; ++u) {
-            const __m256 v = _mm256_broadcast_ss(vals + q + u);
-            const float *brow = bp + (kidx[q + u] - k0) * NR;
+            // One packed word per entry: the table broadcast replaces the
+            // value broadcast, the word load replaces the column load.
+            const std::uint32_t w = ents[q + u];
+            const __m256 v = _mm256_broadcast_ss(table + (w & kIndexMask));
+            const float *brow = bp
+                + (static_cast<std::int64_t>(w >> kSparseEntryColumnShift)
+                   - k0) * NR;
             c0[u] = _mm256_fmadd_ps(v, _mm256_loadu_ps(brow), c0[u]);
             c1[u] = _mm256_fmadd_ps(v, _mm256_loadu_ps(brow + 8), c1[u]);
         }
     }
     for (; q < nnz; ++q) {
-        const __m256 v = _mm256_broadcast_ss(vals + q);
-        const float *brow = bp + (kidx[q] - k0) * NR;
+        const std::uint32_t w = ents[q];
+        const __m256 v = _mm256_broadcast_ss(table + (w & kIndexMask));
+        const float *brow = bp
+            + (static_cast<std::int64_t>(w >> kSparseEntryColumnShift) - k0)
+                * NR;
         c0[0] = _mm256_fmadd_ps(v, _mm256_loadu_ps(brow), c0[0]);
         c1[0] = _mm256_fmadd_ps(v, _mm256_loadu_ps(brow + 8), c1[0]);
     }
@@ -109,7 +119,8 @@ gemmSparseMicroAvx2(const float *vals, const std::int32_t *kidx,
  */
 template <int R>
 void
-sparseMultiRowTileAvx2(const float *vals, std::int64_t vstride,
+sparseMultiRowTileAvx2(const float *table, const std::uint16_t *vidx,
+                       std::int64_t vstride,
                        const std::int32_t *kidx, std::int64_t nnz,
                        std::int64_t k0, const float *bp, float *acc)
 {
@@ -138,21 +149,24 @@ sparseMultiRowTileAvx2(const float *vals, std::int64_t vstride,
         const float *brow = bp + (kidx[q] - k0) * NR;
         const __m256 b0 = _mm256_loadu_ps(brow);
         const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        const __m256 v0 = _mm256_broadcast_ss(vals + q);
+        const __m256 v0 = _mm256_broadcast_ss(table + vidx[q]);
         c00 = _mm256_fmadd_ps(v0, b0, c00);
         c01 = _mm256_fmadd_ps(v0, b1, c01);
         if constexpr (R > 1) {
-            const __m256 v1 = _mm256_broadcast_ss(vals + vstride + q);
+            const __m256 v1 =
+                _mm256_broadcast_ss(table + vidx[vstride + q]);
             c10 = _mm256_fmadd_ps(v1, b0, c10);
             c11 = _mm256_fmadd_ps(v1, b1, c11);
         }
         if constexpr (R > 2) {
-            const __m256 v2 = _mm256_broadcast_ss(vals + 2 * vstride + q);
+            const __m256 v2 =
+                _mm256_broadcast_ss(table + vidx[2 * vstride + q]);
             c20 = _mm256_fmadd_ps(v2, b0, c20);
             c21 = _mm256_fmadd_ps(v2, b1, c21);
         }
         if constexpr (R > 3) {
-            const __m256 v3 = _mm256_broadcast_ss(vals + 3 * vstride + q);
+            const __m256 v3 =
+                _mm256_broadcast_ss(table + vidx[3 * vstride + q]);
             c30 = _mm256_fmadd_ps(v3, b0, c30);
             c31 = _mm256_fmadd_ps(v3, b1, c31);
         }
@@ -174,23 +188,27 @@ sparseMultiRowTileAvx2(const float *vals, std::int64_t vstride,
 }
 
 void
-gemmSparseMultiRowAvx2(const float *vals, std::int64_t vstride,
-                       std::int64_t mrows, const std::int32_t *kidx,
+gemmSparseMultiRowAvx2(const float *table, const std::uint16_t *vidx,
+                       std::int64_t vstride, std::int64_t mrows, const std::int32_t *kidx,
                        std::int64_t nnz, std::int64_t k0, const float *bp,
                        std::int64_t /*nr*/, float *acc)
 {
     switch (mrows) {
       case 4:
-        sparseMultiRowTileAvx2<4>(vals, vstride, kidx, nnz, k0, bp, acc);
+        sparseMultiRowTileAvx2<4>(table, vidx, vstride, kidx, nnz, k0, bp,
+                                  acc);
         break;
       case 3:
-        sparseMultiRowTileAvx2<3>(vals, vstride, kidx, nnz, k0, bp, acc);
+        sparseMultiRowTileAvx2<3>(table, vidx, vstride, kidx, nnz, k0, bp,
+                                  acc);
         break;
       case 2:
-        sparseMultiRowTileAvx2<2>(vals, vstride, kidx, nnz, k0, bp, acc);
+        sparseMultiRowTileAvx2<2>(table, vidx, vstride, kidx, nnz, k0, bp,
+                                  acc);
         break;
       default:
-        sparseMultiRowTileAvx2<1>(vals, vstride, kidx, nnz, k0, bp, acc);
+        sparseMultiRowTileAvx2<1>(table, vidx, vstride, kidx, nnz, k0, bp,
+                                  acc);
         break;
     }
 }

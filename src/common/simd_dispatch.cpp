@@ -59,11 +59,13 @@ gemmMicroScalar(const float *__restrict ap, const float *__restrict bp,
  * dependency chains the auto-vectorizer can keep in flight.
  */
 void
-gemmSparseMicroScalar(const float *__restrict vals,
-                      const std::int32_t *__restrict kidx, std::int64_t nnz,
+gemmSparseMicroScalar(const float *__restrict table,
+                      const std::uint32_t *__restrict ents, std::int64_t nnz,
                       std::int64_t k0, const float *__restrict bp,
                       std::int64_t nr, float *__restrict acc)
 {
+    constexpr std::uint32_t kIndexMask =
+        (1u << kSparseEntryColumnShift) - 1u;
     float s0[kMaxGemmNr];
     float s1[kMaxGemmNr];
     for (std::int64_t c = 0; c < nr; ++c) {
@@ -72,18 +74,27 @@ gemmSparseMicroScalar(const float *__restrict vals,
     }
     std::int64_t q = 0;
     for (; q + 2 <= nnz; q += 2) {
-        const float v0 = vals[q];
-        const float v1 = vals[q + 1];
-        const float *b0 = bp + (kidx[q] - k0) * nr;
-        const float *b1 = bp + (kidx[q + 1] - k0) * nr;
+        const std::uint32_t w0 = ents[q];
+        const std::uint32_t w1 = ents[q + 1];
+        const float v0 = table[w0 & kIndexMask];
+        const float v1 = table[w1 & kIndexMask];
+        const float *b0 = bp
+            + (static_cast<std::int64_t>(w0 >> kSparseEntryColumnShift)
+               - k0) * nr;
+        const float *b1 = bp
+            + (static_cast<std::int64_t>(w1 >> kSparseEntryColumnShift)
+               - k0) * nr;
         for (std::int64_t c = 0; c < nr; ++c) {
             s0[c] += v0 * b0[c];
             s1[c] += v1 * b1[c];
         }
     }
     if (q < nnz) {
-        const float v = vals[q];
-        const float *brow = bp + (kidx[q] - k0) * nr;
+        const std::uint32_t w = ents[q];
+        const float v = table[w & kIndexMask];
+        const float *brow = bp
+            + (static_cast<std::int64_t>(w >> kSparseEntryColumnShift) - k0)
+                * nr;
         for (std::int64_t c = 0; c < nr; ++c)
             s0[c] += v * brow[c];
     }
@@ -109,7 +120,9 @@ namespace {
  */
 template <int R, int NRC>
 void
-sparseMultiRowTileFixed(const float *__restrict vals, std::int64_t vstride,
+sparseMultiRowTileFixed(const float *__restrict table,
+                        const std::uint16_t *__restrict vidx,
+                        std::int64_t vstride,
                         const std::int32_t *__restrict kidx,
                         std::int64_t nnz, std::int64_t k0,
                         const float *__restrict bp, float *__restrict acc)
@@ -128,7 +141,7 @@ sparseMultiRowTileFixed(const float *__restrict vals, std::int64_t vstride,
                                0, 3);
         const float *brow = bp + (kidx[q] - k0) * NRC;
         for (int r = 0; r < R; ++r) {
-            const float v = vals[r * vstride + q];
+            const float v = table[vidx[r * vstride + q]];
             for (int cidx = 0; cidx < NRC; ++cidx)
                 c[r][cidx] += v * brow[cidx];
         }
@@ -141,7 +154,8 @@ sparseMultiRowTileFixed(const float *__restrict vals, std::int64_t vstride,
 } // namespace
 
 void
-gemmSparseMultiRowMicroScalar(const float *__restrict vals,
+gemmSparseMultiRowMicroScalar(const float *__restrict table,
+                              const std::uint16_t *__restrict vidx,
                               std::int64_t vstride, std::int64_t mrows,
                               const std::int32_t *__restrict kidx,
                               std::int64_t nnz, std::int64_t k0,
@@ -152,8 +166,8 @@ gemmSparseMultiRowMicroScalar(const float *__restrict vals,
     // tiles (the overwhelmingly common case for N:M operands, where a
     // mask code keeps >= 2 rows per block) get the fixed-shape body.
     if (nr == 8 && mrows == kSparseMultiRowMr) {
-        sparseMultiRowTileFixed<kSparseMultiRowMr, 8>(vals, vstride, kidx,
-                                                      nnz, k0, bp, acc);
+        sparseMultiRowTileFixed<kSparseMultiRowMr, 8>(table, vidx, vstride,
+                                                      kidx, nnz, k0, bp, acc);
         return;
     }
     float c[kSparseMultiRowMr][kMaxGemmNr] = {};
@@ -164,7 +178,7 @@ gemmSparseMultiRowMicroScalar(const float *__restrict vals,
                                0, 3);
         const float *brow = bp + (kidx[q] - k0) * nr;
         for (std::int64_t r = 0; r < mrows; ++r) {
-            const float v = vals[r * vstride + q];
+            const float v = table[vidx[r * vstride + q]];
             for (std::int64_t cidx = 0; cidx < nr; ++cidx)
                 c[r][cidx] += v * brow[cidx];
         }

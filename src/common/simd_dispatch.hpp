@@ -48,6 +48,14 @@ constexpr std::int64_t kMaxGemmNr = 16;
 constexpr std::int64_t kSparseMultiRowMr = 4;
 
 /**
+ * Packed sparse entry word read by gemmSparseMicroKernel: column in the
+ * high bits, value-table index in the low kSparseEntryColumnShift bits.
+ * Mirrors tensor/ops.hpp's kEntryColumnShift (static_asserted equal in
+ * ops.cpp).
+ */
+constexpr int kSparseEntryColumnShift = 16;
+
+/**
  * Cache-blocking parameters of the blocked gemm drivers (dense and
  * sparse-A) in tensor/ops.cpp. A driver iteration packs one KC x NC block
  * of op(B) into nr-column panels (nr from the active table, so a panel is
@@ -85,15 +93,18 @@ struct Kernels
     /**
      * Sparse-A register-tile kernel for gemmSparseA (tensor/ops.cpp): one
      * compressed row of A meets one packed B panel. The row's nnz kept
-     * entries arrive as values vals[] with ascending absolute column
-     * indices kidx[] (all within [k0, k0 + kc) of the current K block);
-     * bp is the driver's packed panel (bp[kk*nr + c] = B(k0 + kk, jq + c),
-     * the same layout packB produces for the dense kernel), and the kernel
-     * accumulates acc[c] += vals[q] * bp[(kidx[q] - k0)*nr + c] over the
-     * nnz entries for c in [0, nr). nr is passed explicitly so one scalar
-     * implementation can serve tables with different tile widths.
+     * entries arrive as packed words ents[] (column << 16 | table index;
+     * columns ascending, all within [k0, k0 + kc) of the current K
+     * block), their values decoded as table[index]; bp is the driver's
+     * packed panel (bp[kk*nr + c] = B(k0 + kk, jq + c), the same layout
+     * packB produces for the dense kernel), and the kernel accumulates
+     * acc[c] += table[index_q] * bp[(column_q - k0)*nr + c] over the nnz
+     * entries for c in [0, nr). Per entry it loads one word where a
+     * value-plus-column layout loads two. nr is passed explicitly so one
+     * scalar implementation can serve tables with different tile widths.
      */
-    void (*gemmSparseMicroKernel)(const float *vals, const std::int32_t *kidx,
+    void (*gemmSparseMicroKernel)(const float *table,
+                                  const std::uint32_t *ents,
                                   std::int64_t nnz, std::int64_t k0,
                                   const float *bp, std::int64_t nr,
                                   float *acc);
@@ -102,9 +113,10 @@ struct Kernels
      * Multi-row sparse tile kernel for the grouped operand (see
      * GroupedSparseMatrix in tensor/ops.hpp): `mrows` compressed rows of A
      * (1 <= mrows <= kSparseMultiRowMr) share one ascending column pattern
-     * kidx[0..nnz) (all within [k0, k0 + kc)); row r's kept values live at
-     * vals[r*vstride + q]. OVERWRITES the tile:
-     *   acc[r*nr + c] = sum_q vals[r*vstride + q] * bp[(kidx[q] - k0)*nr + c]
+     * kidx[0..nnz) (all within [k0, k0 + kc)); row r's kept values are
+     * table[vidx[r*vstride + q]]. OVERWRITES the tile:
+     *   acc[r*nr + c] = sum_q table[vidx[r*vstride + q]]
+     *                         * bp[(kidx[q] - k0)*nr + c]
      * over the nnz shared entries for r in [0, mrows), c in [0, nr) —
      * acc is never read, so callers skip zero-filling it; cross-K-block
      * accumulation is the caller's job (the grouped driver folds each
@@ -114,7 +126,8 @@ struct Kernels
      * instead of once per row, amortizing the B-side traffic the
      * single-row kernel pays per entry.
      */
-    void (*gemmSparseMultiRowMicroKernel)(const float *vals,
+    void (*gemmSparseMultiRowMicroKernel)(const float *table,
+                                          const std::uint16_t *vidx,
                                           std::int64_t vstride,
                                           std::int64_t mrows,
                                           const std::int32_t *kidx,

@@ -65,10 +65,12 @@ gemmMicroNeon(const float *ap, const float *bp, std::int64_t kc, float *acc)
  * its matching packed B row, so pruned positions cost nothing at all.
  */
 void
-gemmSparseMicroNeon(const float *vals, const std::int32_t *kidx,
+gemmSparseMicroNeon(const float *table, const std::uint32_t *ents,
                     std::int64_t nnz, std::int64_t k0, const float *bp,
                     std::int64_t /*nr*/, float *acc)
 {
+    constexpr std::uint32_t kIndexMask =
+        (1u << kSparseEntryColumnShift) - 1u;
     float32x4_t c0[4], c1[4];
     for (int v = 0; v < 4; ++v) {
         c0[v] = vld1q_f32(acc + 4 * v);
@@ -76,18 +78,27 @@ gemmSparseMicroNeon(const float *vals, const std::int32_t *kidx,
     }
     std::int64_t q = 0;
     for (; q + 2 <= nnz; q += 2) {
-        const float a0 = vals[q];
-        const float a1 = vals[q + 1];
-        const float *b0 = bp + (kidx[q] - k0) * NR;
-        const float *b1 = bp + (kidx[q + 1] - k0) * NR;
+        const std::uint32_t w0 = ents[q];
+        const std::uint32_t w1 = ents[q + 1];
+        const float a0 = table[w0 & kIndexMask];
+        const float a1 = table[w1 & kIndexMask];
+        const float *b0 = bp
+            + (static_cast<std::int64_t>(w0 >> kSparseEntryColumnShift)
+               - k0) * NR;
+        const float *b1 = bp
+            + (static_cast<std::int64_t>(w1 >> kSparseEntryColumnShift)
+               - k0) * NR;
         for (int v = 0; v < 4; ++v) {
             c0[v] = vfmaq_n_f32(c0[v], vld1q_f32(b0 + 4 * v), a0);
             c1[v] = vfmaq_n_f32(c1[v], vld1q_f32(b1 + 4 * v), a1);
         }
     }
     if (q < nnz) {
-        const float av = vals[q];
-        const float *brow = bp + (kidx[q] - k0) * NR;
+        const std::uint32_t w = ents[q];
+        const float av = table[w & kIndexMask];
+        const float *brow = bp
+            + (static_cast<std::int64_t>(w >> kSparseEntryColumnShift) - k0)
+                * NR;
         for (int v = 0; v < 4; ++v)
             c0[v] = vfmaq_n_f32(c0[v], vld1q_f32(brow + 4 * v), av);
     }
@@ -106,7 +117,8 @@ gemmSparseMicroNeon(const float *vals, const std::int32_t *kidx,
  */
 template <int R>
 void
-sparseMultiRowTileNeon(const float *vals, std::int64_t vstride,
+sparseMultiRowTileNeon(const float *table, const std::uint16_t *vidx,
+                       std::int64_t vstride,
                        const std::int32_t *kidx, std::int64_t nnz,
                        std::int64_t k0, const float *bp, float *acc)
 {
@@ -129,7 +141,7 @@ sparseMultiRowTileNeon(const float *vals, std::int64_t vstride,
         for (int v = 0; v < 4; ++v)
             b[v] = vld1q_f32(brow + 4 * v);
         for (int r = 0; r < R; ++r) {
-            const float av = vals[r * vstride + q];
+            const float av = table[vidx[r * vstride + q]];
             for (int v = 0; v < 4; ++v)
                 c[r][v] = vfmaq_n_f32(c[r][v], b[v], av);
         }
@@ -140,23 +152,28 @@ sparseMultiRowTileNeon(const float *vals, std::int64_t vstride,
 }
 
 void
-gemmSparseMultiRowNeon(const float *vals, std::int64_t vstride,
-                       std::int64_t mrows, const std::int32_t *kidx,
-                       std::int64_t nnz, std::int64_t k0, const float *bp,
+gemmSparseMultiRowNeon(const float *table, const std::uint16_t *vidx,
+                       std::int64_t vstride, std::int64_t mrows,
+                       const std::int32_t *kidx, std::int64_t nnz,
+                       std::int64_t k0, const float *bp,
                        std::int64_t /*nr*/, float *acc)
 {
     switch (mrows) {
       case 4:
-        sparseMultiRowTileNeon<4>(vals, vstride, kidx, nnz, k0, bp, acc);
+        sparseMultiRowTileNeon<4>(table, vidx, vstride, kidx, nnz, k0, bp,
+                                  acc);
         break;
       case 3:
-        sparseMultiRowTileNeon<3>(vals, vstride, kidx, nnz, k0, bp, acc);
+        sparseMultiRowTileNeon<3>(table, vidx, vstride, kidx, nnz, k0, bp,
+                                  acc);
         break;
       case 2:
-        sparseMultiRowTileNeon<2>(vals, vstride, kidx, nnz, k0, bp, acc);
+        sparseMultiRowTileNeon<2>(table, vidx, vstride, kidx, nnz, k0, bp,
+                                  acc);
         break;
       default:
-        sparseMultiRowTileNeon<1>(vals, vstride, kidx, nnz, k0, bp, acc);
+        sparseMultiRowTileNeon<1>(table, vidx, vstride, kidx, nnz, k0, bp,
+                                  acc);
         break;
     }
 }

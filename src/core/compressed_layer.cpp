@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 
 #include "common/logging.hpp"
 #include "common/math_util.hpp"
@@ -38,33 +39,68 @@ CompressedLayer::decodeMask() const
 namespace {
 
 /**
+ * The packed-entry limits of a sparse operand, checked before a pack:
+ * entry columns are 16 bits, so the unrolled C/groups*R*S gemm K must
+ * stay below 2^16, and table indices are 16 bits, so the codebook (the
+ * operand's value table) may hold at most 2^16 values. FatalError naming
+ * the layer: no ResNet, VGG or MobileNet conv comes near either limit
+ * (K peaks at 25,088, k*d at 8,192), so hitting one is a model the
+ * serving layout cannot represent, not a bug.
+ */
+void
+checkPackLimits(const CompressedLayer &layer, const Codebook &cb)
+{
+    const Shape &w4 = layer.weight_shape;
+    const std::int64_t kk = w4.dim(1) * w4.dim(2) * w4.dim(3);
+    fatalIf(kk >= kMaxSparseCols, layer.name, ": conv-group gemm K ", kk,
+            " exceeds the sparse operand's 16-bit column limit (K < ",
+            kMaxSparseCols, ")");
+    fatalIf(cb.codewords.numel() > kMaxValueTable, layer.name,
+            ": codebook k*d = ", cb.codewords.numel(),
+            " exceeds the sparse operand's 16-bit table limit (",
+            kMaxValueTable, ")");
+}
+
+/** The codebook as an operand value table, shared by every operand one
+ *  pack builds (entry index = assignment * d + lane). */
+OperandArray<float>
+codebookTable(const Codebook &cb)
+{
+    const float *cw = cb.codewords.data();
+    return OperandArray<float>::share(
+        std::make_shared<const std::vector<float>>(
+            cw, cw + cb.codewords.numel()));
+}
+
+/**
  * The shared pack walk: rows [k0, k1) of the layer's unrolled [K, C*R*S]
- * weight matrix as a standalone CSR operand (rows rebased to k0). One LUT
- * pass has already expanded the stored group codes into `mask`; the walk
- * consumes the bits in unrolled weight-matrix order. A kept position
- * keeps its codeword value even when that value is 0.0f — the operand
- * mirrors the mask structure, not incidental zeros.
+ * weight matrix as a standalone CSR operand (rows rebased to k0) over
+ * the codebook table `table`. One LUT pass has already expanded the
+ * stored group codes into `mask`; the walk consumes the bits in unrolled
+ * weight-matrix order. A kept position keeps its codeword entry even
+ * when that codeword value is 0.0f — the operand mirrors the mask
+ * structure, not incidental zeros.
  */
 SparseRowMatrix
 packRowRange(const CompressedLayer &layer, const Mask &mask,
-             const Codebook &cb, std::int64_t k0, std::int64_t k1)
+             const OperandArray<float> &table, std::int64_t k0,
+             std::int64_t k1)
 {
     const Shape &w4 = layer.weight_shape;
     const std::int64_t cc = w4.dim(1);
     const std::int64_t rr = w4.dim(2);
     const std::int64_t ss = w4.dim(3);
     const std::int64_t d = layer.cfg.d;
-    const float *cw = cb.codewords.data();
 
     SparseRowMatrix sp;
     sp.rows = k1 - k0;
     sp.cols = cc * rr * ss;
+    sp.values = table;
     sp.row_ptr.reserve(static_cast<std::size_t>(sp.rows) + 1);
     sp.row_ptr.push_back(0);
     const std::int64_t keep_estimate = sp.rows * sp.cols
         * layer.cfg.pattern.n / layer.cfg.pattern.m;
     sp.col_idx.reserve(static_cast<std::size_t>(keep_estimate));
-    sp.values.reserve(static_cast<std::size_t>(keep_estimate));
     for (std::int64_t k = k0; k < k1; ++k) {
         for (std::int64_t c = 0; c < cc; ++c) {
             for (std::int64_t r = 0; r < rr; ++r) {
@@ -76,14 +112,12 @@ packRowRange(const CompressedLayer &layer, const Mask &mask,
                         continue;
                     const std::int32_t a = layer.assignments[
                         static_cast<std::size_t>(gc.row)];
-                    sp.col_idx.push_back(static_cast<std::int32_t>(
-                        (c * rr + r) * ss + s));
-                    sp.values.push_back(cw[a * d + gc.col]);
+                    sp.col_idx.push_back(
+                        packEntry((c * rr + r) * ss + s, a * d + gc.col));
                 }
             }
         }
-        sp.row_ptr.push_back(
-            static_cast<std::int64_t>(sp.values.size()));
+        sp.row_ptr.push_back(sp.nnz());
     }
     validateSparseOperand(sp);
     return sp;
@@ -98,8 +132,10 @@ CompressedLayer::packSparseRows(const Codebook &cb) const
             name, ": packSparseRows expects a 4-D kernel shape");
     fatalIf(cb.d() != cfg.d, name, ": codebook d ", cb.d(),
             " != layer d ", cfg.d);
+    checkPackLimits(*this, cb);
     const Mask mask = decodeMask();
-    return packRowRange(*this, mask, cb, 0, weight_shape.dim(0));
+    return packRowRange(*this, mask, codebookTable(cb), 0,
+                        weight_shape.dim(0));
 }
 
 std::vector<GroupedSparseMatrix>
@@ -125,12 +161,17 @@ CompressedLayer::packGroupedRows(const Codebook &cb,
         ? std::min<std::int64_t>(cfg.pattern.m, 32)
         : 16;
 
+    checkPackLimits(*this, cb);
     const Mask mask = decodeMask();
+    // One table for every group: a depthwise conv has as many operands as
+    // channels, each borrowing the same codebook copy.
+    const OperandArray<float> table = codebookTable(cb);
     std::vector<GroupedSparseMatrix> out;
     out.reserve(static_cast<std::size_t>(groups));
     for (std::int64_t grp = 0; grp < groups; ++grp)
         out.push_back(groupSparseRows(
-            packRowRange(*this, mask, cb, grp * kg, (grp + 1) * kg), mb));
+            packRowRange(*this, mask, table, grp * kg, (grp + 1) * kg),
+            mb));
     return out;
 }
 
@@ -193,6 +234,17 @@ CompressedModel::validate(const std::string &what) const
                     what, ": layer '", cl.name, "' assignment ", j, " = ",
                     cl.assignments[j], " is out of range for its ", k,
                     "-entry codebook");
+        // Patterns the codec cannot build fail when a mask is decoded;
+        // for the rest, every stored rank must name a valid mask.
+        const NmPattern &p = cl.cfg.pattern;
+        if (p.n >= 1 && p.n <= p.m && p.m <= 24) {
+            const std::uint64_t codes = binomial(p.m, p.n);
+            for (std::size_t j = 0; j < cl.mask_codes.size(); ++j)
+                fatalIf(cl.mask_codes[j] >= codes, what, ": layer '",
+                        cl.name, "' mask code ", j, " = ", cl.mask_codes[j],
+                        " is out of range for ", p.n, ":", p.m, " (C(",
+                        p.m, ",", p.n, ") = ", codes, ")");
+        }
 
         // Untrusted dims: reject a kernel whose element count overflows
         // before groupCount multiplies them out.

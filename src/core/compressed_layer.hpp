@@ -101,8 +101,10 @@ struct CompressedLayer
     /**
      * Decode straight into the sparse gemm operand: a per-row
      * compressed-column (CSR) view of the unrolled [K, C*R*S] weight
-     * matrix holding only the positions the stored mask codes keep, with
-     * codeword values filled in from `cb`. The N:M structure makes those
+     * matrix holding only the positions the stored mask codes keep. Each
+     * kept entry indexes `cb`'s codewords (assignment * d + lane), which
+     * the operand holds as its value table. FatalError when the layer
+     * exceeds the packed-entry limits (K >= 2^16 or k*d > 2^16). The N:M structure makes those
      * positions statically known per M-group, so this is built once at
      * load time and reused for every forward pass (see
      * nn::CompressedConv2d) — inference never touches pruned positions,
@@ -117,7 +119,8 @@ struct CompressedLayer
      * its own GroupedSparseMatrix (no full-operand pack + slice copy),
      * with rows sharing a kept-column pattern tiled together
      * (groupSparseRows; block size follows the layer's M so buckets align
-     * with mask-code granularity). Built once at load time — the bucket
+     * with mask-code granularity). Every group shares one copy of the
+     * codebook as its value table. Built once at load time — the bucket
      * structure is a property of the stored mask codes, not of any input.
      */
     std::vector<GroupedSparseMatrix>
@@ -156,8 +159,8 @@ struct CompressedModel
      * Semantic check of a decoded model (core/serialize streams and MVQI
      * images alike), run before anything indexes with its contents:
      * every layer's codebook exists, every assignment is below its
-     * codebook's k, and ng matches the subvector count the weight shape
-     * implies. FatalError naming `what` on violation — a corrupt file
+     * codebook's k, every mask code is below C(M,N), and ng matches the
+     * subvector count the weight shape implies. FatalError naming `what` on violation — a corrupt file
      * fails loudly instead of packing out of bounds.
      */
     void validate(const std::string &what) const;

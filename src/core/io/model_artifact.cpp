@@ -82,24 +82,41 @@ borrowArr(const MvqiView &v, const MvqiArray &a)
     return OperandArray<T>::borrow(v.array<T>(a), a.count);
 }
 
-/** Assemble a GroupedSparseMatrix whose every array aliases the image. */
+/**
+ * Assemble a GroupedSparseMatrix whose every array aliases the image; its
+ * value table is the layer's codebook section.
+ */
 GroupedSparseMatrix
-borrowOperand(const MvqiView &v, const MvqiOperand &op)
+borrowOperand(const MvqiView &v, const MvqiOperand &op,
+              const OperandArray<float> &table)
 {
     GroupedSparseMatrix g;
-    // Tiles cover their value pool exactly, so the kept count is the two
-    // value arrays; validateGroupedOperand checks the tiles add up to it.
-    g.rows = {op.rows, op.cols, op.tile_vals.count + op.rem_values.count};
+    // Tiles cover their index pool exactly, so the kept count is the two
+    // entry arrays; validateGroupedOperand checks the tiles add up to it.
+    g.rows = {op.rows, op.cols, op.tile_idx.count + op.rem_entries.count};
     g.tiles = borrowArr<GroupedSparseMatrix::Tile>(v, op.tiles);
     g.cols = borrowArr<std::int32_t>(v, op.tile_cols);
-    g.vals = borrowArr<float>(v, op.tile_vals);
+    g.vals = borrowArr<std::uint16_t>(v, op.tile_idx);
     g.band_ptr = borrowArr<std::int64_t>(v, op.band_ptr);
     g.remainder.rows = op.rows;
     g.remainder.cols = op.cols;
     g.remainder.row_ptr = borrowArr<std::int64_t>(v, op.rem_row_ptr);
-    g.remainder.col_idx = borrowArr<std::int32_t>(v, op.rem_col_idx);
-    g.remainder.values = borrowArr<float>(v, op.rem_values);
+    g.remainder.col_idx = borrowArr<std::uint32_t>(v, op.rem_entries);
+    g.remainder.values = table;
     return g;
+}
+
+/** Widen an image's stored symbols (16-bit in v3, 32-bit before). */
+template <typename T>
+std::vector<T>
+readSymbols(const MvqiView &v, const MvqiArray &a)
+{
+    if (v.symbolBytes() == 2) {
+        const std::uint16_t *p = v.array<std::uint16_t>(a);
+        return std::vector<T>(p, p + a.count);
+    }
+    const T *p = v.array<T>(a);
+    return std::vector<T>(p, p + a.count);
 }
 
 /** Keeps the image alive for as long as any borrowed operand handle is
@@ -123,6 +140,11 @@ ModelArtifact::ModelArtifact(Opened opened)
       view_(map_->data(), map_->size(), map_->path()),
       model_(std::move(opened.model))
 {
+    if (view_.layerCount() > 0 && !view_.bakedOperandsServable())
+        warn(map_->path(), ": MVQI v", view_.header().version,
+             " image; every layer is repacked at first use instead of "
+             "borrowed zero-copy (`mvqi convert` upgrades it to v",
+             kMvqiVersion, ")");
 }
 
 std::int64_t
@@ -194,15 +216,13 @@ ModelArtifact::modelLocked() const
         cl.cfg.codebook_bits = static_cast<int>(L.codebook_bits);
         cl.codebook_id = static_cast<int>(L.codebook_id);
         cl.dense_flops = L.dense_flops;
-        const std::int32_t *ap = view_.array<std::int32_t>(L.assignments);
-        cl.assignments.assign(ap, ap + L.assignments.count);
-        const std::uint32_t *mp = view_.array<std::uint32_t>(L.mask_codes);
-        cl.mask_codes.assign(mp, mp + L.mask_codes.count);
+        cl.assignments = readSymbols<std::int32_t>(view_, L.assignments);
+        cl.mask_codes = readSymbols<std::uint32_t>(view_, L.mask_codes);
         m.layers.push_back(std::move(cl));
     }
     // The structural view bounds every section, but not what the model
-    // means: an out-of-range assignment would index past its codebook
-    // on packedOperands' repack path.
+    // means: an out-of-range assignment or mask code would index past
+    // its codebook or mask LUT on packedOperands' repack path.
     m.validate(path());
     model_ = std::move(m);
     return *model_;
@@ -226,17 +246,22 @@ ModelArtifact::packedOperands(std::int64_t i, std::int64_t groups) const
         return it->second;
 
     SharedOperands shared;
-    if (g == baked) {
+    if (g == baked && view_.bakedOperandsServable()) {
         // Zero-copy path: borrow every operand array from the image, then
         // run the O(nnz) semantic validation — the line between a corrupt
         // image failing loudly and the kernels reading out of bounds.
         // Structural bounds were already checked by MvqiView.
+        const MvqiLayer &L = view_.layer(i);
+        const MvqiCodebook &cb = view_.codebook(L.codebook_id);
+        const OperandArray<float> table = OperandArray<float>::borrow(
+            view_.array<float>(MvqiArray{cb.codewords_off, cb.k * cb.d}),
+            cb.k * cb.d);
         auto holder = std::make_shared<OperandHolder>();
         holder->keepalive = map_;
         holder->ops.reserve(static_cast<std::size_t>(g));
         for (std::int64_t grp = 0; grp < g; ++grp) {
             GroupedSparseMatrix op =
-                borrowOperand(view_, view_.operand(i, grp));
+                borrowOperand(view_, view_.operand(i, grp), table);
             try {
                 validateGroupedOperand(op);
             } catch (const PanicError &e) {
@@ -249,8 +274,10 @@ ModelArtifact::packedOperands(std::int64_t i, std::int64_t groups) const
         }
         shared = SharedOperands(holder, &holder->ops);
     } else {
-        // Group-count mismatch: correct but not zero-copy. Bake the
-        // right groups at write time to stay on the borrowed path.
+        // Group-count mismatch, or a v1/v2 image whose fp32 operand
+        // records are not the v3 layout: correct but not zero-copy.
+        // Bake the right groups (or `mvqi convert` the image) to stay on
+        // the borrowed path.
         const CompressedModel &m = modelLocked();
         const CompressedLayer &cl = m.layers[static_cast<std::size_t>(i)];
         shared = std::make_shared<const std::vector<GroupedSparseMatrix>>(

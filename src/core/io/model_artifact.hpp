@@ -98,12 +98,14 @@ class ModelArtifact
      * (layer, groups), so N conv instances built from one artifact share
      * one operand set.
      *
-     * The baked group count is served as borrowed views over the image
-     * (zero-copy; the returned handle keeps the image alive) after the
-     * O(nnz) validateGroupedOperand check. Any other count falls back to
-     * materializing + repacking, which is correct but defeats the
-     * zero-copy point — bake the right groups at write time
-     * (MvqiWriteOptions::layer_groups).
+     * The baked group count of a v3 image is served as borrowed views
+     * over the image (zero-copy, the layer's codebook section as every
+     * operand's value table; the returned handle keeps the image alive)
+     * after the O(nnz) validateGroupedOperand check. Any other count —
+     * and every layer of a v1/v2 image — falls back to materializing +
+     * repacking, which is correct but defeats the zero-copy point: bake
+     * the right groups at write time (MvqiWriteOptions::layer_groups) and
+     * upgrade old images with `mvqi convert`.
      */
     SharedOperands packedOperands(std::int64_t i,
                                   std::int64_t groups = 0) const;

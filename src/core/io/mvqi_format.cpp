@@ -5,11 +5,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <type_traits>
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
+#include "common/math_util.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MVQ_MVQI_HAVE_MMAP 1
@@ -44,46 +46,68 @@ readRecord(const std::uint8_t *p)
     return rec;
 }
 
-/** Operand record `g` of layer `L` in a v1 image. */
-MvqiOperandV1
-v1Record(const std::uint8_t *data, const MvqiLayer &L, std::int64_t g)
+/** What one section of a v1/v2 operand record holds. */
+struct LegacySection
 {
-    return readRecord<MvqiOperandV1>(data + L.operands_off
-                                     + g * sizeof(MvqiOperandV1));
-}
+    std::int64_t elem_bytes;
+    const char *name;
+    bool full_csr; //!< v1's full-CSR copy (else tile or remainder)
+    bool remainder;
+};
 
 /**
- * Append-only image buffer. Every section lands on a kMvqiAlign boundary
- * (zero padding in between), so offsets recorded here are valid for both
- * the mmap path (page-aligned base) and the aligned heap fallback.
+ * The MvqiArray fields of a v1 record in order (a v2 record is the last
+ * seven): what validation bounds and `mvqi info` sizes. Their contents
+ * are never read.
+ */
+constexpr LegacySection kLegacySections[] = {
+    {8, "row_ptr", true, false},
+    {4, "col_idx", true, false},
+    {4, "values", true, false},
+    {static_cast<std::int64_t>(sizeof(Tile)), "tiles", false, false},
+    {4, "tile cols", false, false},
+    {4, "tile vals", false, false},
+    {8, "band_ptr", false, false},
+    {8, "remainder row_ptr", false, true},
+    {4, "remainder col_idx", false, true},
+    {4, "remainder values", false, true},
+};
+constexpr std::size_t kV2FirstSection = 3;
+
+/**
+ * Append-only image buffer. Every section lands on a boundary of its own
+ * alignment (zero padding in between), so offsets recorded here are
+ * valid for both the mmap path (page-aligned base) and the aligned heap
+ * fallback.
  */
 struct ImageBuilder
 {
     std::vector<std::uint8_t> buf;
 
     std::uint64_t
-    alignUp()
+    alignUp(std::int64_t align)
     {
-        while (buf.size() % static_cast<std::size_t>(kMvqiAlign) != 0)
+        while (buf.size() % static_cast<std::size_t>(align) != 0)
             buf.push_back(0);
         return static_cast<std::uint64_t>(buf.size());
     }
 
-    /** Reserve `bytes` zeroed bytes at an aligned offset (patched later). */
+    /** Reserve `bytes` zeroed bytes at a 64-byte boundary (patched later). */
     std::uint64_t
     reserve(std::size_t bytes)
     {
-        const std::uint64_t off = alignUp();
+        const std::uint64_t off = alignUp(kMvqiAlign);
         buf.insert(buf.end(), bytes, 0);
         return off;
     }
 
     template <typename T>
     std::uint64_t
-    appendRaw(const T *p, std::int64_t n)
+    appendRaw(const T *p, std::int64_t n,
+              std::int64_t align = static_cast<std::int64_t>(alignof(T)))
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        const std::uint64_t off = alignUp();
+        const std::uint64_t off = alignUp(align);
         if (n > 0) // p may be null for an empty borrowed array
             buf.insert(buf.end(),
                        reinterpret_cast<const std::uint8_t *>(p),
@@ -94,20 +118,24 @@ struct ImageBuilder
 
     template <typename T>
     MvqiArray
+    append(const T *p, std::size_t n)
+    {
+        return MvqiArray{appendRaw(p, static_cast<std::int64_t>(n)),
+                         static_cast<std::int64_t>(n)};
+    }
+
+    template <typename T>
+    MvqiArray
     append(const OperandArray<T> &a)
     {
-        return MvqiArray{appendRaw(a.data(),
-                                   static_cast<std::int64_t>(a.size())),
-                         static_cast<std::int64_t>(a.size())};
+        return append(a.data(), a.size());
     }
 
     template <typename T>
     MvqiArray
     append(const std::vector<T> &a)
     {
-        return MvqiArray{appendRaw(a.data(),
-                                   static_cast<std::int64_t>(a.size())),
-                         static_cast<std::int64_t>(a.size())};
+        return append(a.data(), a.size());
     }
 
     void
@@ -155,12 +183,36 @@ appendOperand(ImageBuilder &b, const GroupedSparseMatrix &op)
     const std::vector<Tile> tiles = normalizedTiles(op.tiles);
     rec.tiles = b.append(tiles);
     rec.tile_cols = b.append(op.cols);
-    rec.tile_vals = b.append(op.vals);
+    rec.tile_idx = b.append(op.vals);
     rec.band_ptr = b.append(op.band_ptr);
     rec.rem_row_ptr = b.append(op.remainder.row_ptr);
-    rec.rem_col_idx = b.append(op.remainder.col_idx);
-    rec.rem_values = b.append(op.remainder.values);
+    rec.rem_entries = b.append(op.remainder.col_idx);
     return rec;
+}
+
+/** Narrow stored symbols to the image's 16-bit fields (the caller has
+ *  checked that they fit). */
+template <typename T>
+std::vector<std::uint16_t>
+narrow16(const std::vector<T> &v)
+{
+    std::vector<std::uint16_t> out(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        out[i] = static_cast<std::uint16_t>(v[i]);
+    return out;
+}
+
+/** Reject a pattern whose mask codes do not fit the 16-bit field (the
+ *  packed-entry limits are checked by packGroupedRows). */
+void
+checkMaskCodeLimit(const CompressedLayer &cl)
+{
+    const std::uint64_t codes =
+        binomial(cl.cfg.pattern.m, cl.cfg.pattern.n);
+    fatalIf(codes > static_cast<std::uint64_t>(kMaxValueTable), "layer '",
+            cl.name, "': ", cl.cfg.pattern.n, ":", cl.cfg.pattern.m,
+            " has ", codes, " mask codes, more than the MVQI 16-bit mask "
+            "field holds (", kMaxValueTable, ")");
 }
 
 } // namespace
@@ -170,6 +222,10 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
 {
     const std::size_t n_books = model.codebooks.size();
     const std::size_t n_layers = model.layers.size();
+    // Assignments below their codebook's k and mask codes below C(M,N):
+    // with checkMaskCodeLimit and packGroupedRows' k*d limit, what makes
+    // the 16-bit narrowing lossless.
+    model.validate("MVQI writer");
 
     ImageBuilder b;
     b.reserve(sizeof(MvqiHeader));
@@ -185,8 +241,8 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
         rec.d = cb.d();
         rec.qbits = cb.qbits;
         rec.scale = cb.scale;
-        rec.codewords_off =
-            b.appendRaw(cb.codewords.data(), cb.codewords.numel());
+        rec.codewords_off = b.appendRaw(cb.codewords.data(),
+                                        cb.codewords.numel(), kMvqiAlign);
     }
 
     std::vector<MvqiLayer> layer_toc(n_layers);
@@ -208,6 +264,8 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
             groups = it->second;
         fatalIf(groups < 1, "invalid conv groups ", groups, " for layer ",
                 cl.name);
+        const Codebook &cb = model.codebooks[cl.codebook_id];
+        checkMaskCodeLimit(cl);
 
         MvqiLayer &rec = layer_toc[i];
         std::memcpy(rec.name, cl.name.c_str(), cl.name.size());
@@ -223,22 +281,26 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
         rec.groups = static_cast<std::int32_t>(groups);
         rec.dense_flops = cl.dense_flops;
         rec.ng = cl.ng();
-        rec.assignments = b.append(cl.assignments);
-        rec.mask_codes = b.append(cl.mask_codes);
+        rec.assignments = b.append(narrow16(cl.assignments));
+        rec.mask_codes = b.append(narrow16(cl.mask_codes));
 
         // The one and only pack: serving loads borrow these bytes as-is.
+        // Entries index the codebook, which the image already holds, so
+        // no operand stores a value.
         const std::vector<GroupedSparseMatrix> ops =
-            cl.packGroupedRows(model.codebooks[cl.codebook_id], groups);
+            cl.packGroupedRows(cb, groups);
         std::vector<MvqiOperand> op_recs;
         op_recs.reserve(ops.size());
-        for (const GroupedSparseMatrix &op : ops)
+        for (const GroupedSparseMatrix &op : ops) {
+            panicIf(static_cast<std::int64_t>(op.table().size())
+                        != cb.codewords.numel(),
+                    "layer ", cl.name, ": operand table is not its codebook");
             op_recs.push_back(appendOperand(b, op));
-        rec.operands_off = b.appendRaw(op_recs.data(),
-                                       static_cast<std::int64_t>(
-                                           op_recs.size()));
+        }
+        rec.operands_off = b.appendRaw(
+            op_recs.data(), static_cast<std::int64_t>(op_recs.size()),
+            kMvqiRecordAlign);
     }
-
-    b.alignUp();
 
     MvqiHeader h;
     h.magic = kMvqiMagic;
@@ -407,41 +469,83 @@ MvqiView::layer(std::int64_t i) const
 std::int64_t
 MvqiView::operandRecordBytes() const
 {
-    return header().version == 1
-        ? static_cast<std::int64_t>(sizeof(MvqiOperandV1))
-        : static_cast<std::int64_t>(sizeof(MvqiOperand));
+    if (bakedOperandsServable())
+        return static_cast<std::int64_t>(sizeof(MvqiOperand));
+    // rows, cols, then the record's MvqiArray fields.
+    const std::size_t first = header().version == 1 ? 0 : kV2FirstSection;
+    return static_cast<std::int64_t>(
+        16 + (std::size(kLegacySections) - first) * sizeof(MvqiArray));
+}
+
+bool
+MvqiView::bakedOperandsServable() const
+{
+    return header().version == kMvqiVersion;
+}
+
+std::int64_t
+MvqiView::symbolBytes() const
+{
+    return header().version >= 3 ? 2 : 4;
 }
 
 MvqiOperand
 MvqiView::operand(std::int64_t layer_idx, std::int64_t group) const
 {
+    panicIf(!bakedOperandsServable(), "MVQI v", header().version,
+            " operand records are not served");
     const MvqiLayer &L = layer(layer_idx);
     panicIf(group < 0 || group >= L.groups, "operand group ", group,
             " out of range [0, ", L.groups, ")");
-    if (header().version != 1)
-        return readRecord<MvqiOperand>(data_ + L.operands_off
-                                       + group * sizeof(MvqiOperand));
-    const MvqiOperandV1 v1 = v1Record(data_, L, group);
-    MvqiOperand op;
-    op.rows = v1.rows;
-    op.cols = v1.cols;
-    op.tiles = v1.tiles;
-    op.tile_cols = v1.tile_cols;
-    op.tile_vals = v1.tile_vals;
-    op.band_ptr = v1.band_ptr;
-    op.rem_row_ptr = v1.rem_row_ptr;
-    op.rem_col_idx = v1.rem_col_idx;
-    op.rem_values = v1.rem_values;
-    return op;
+    return readRecord<MvqiOperand>(data_ + L.operands_off
+                                   + group * sizeof(MvqiOperand));
 }
+
+namespace {
+
+/** Operand record `g` of a v1/v2 layer: rows, cols and the record's
+ *  arrays (the kLegacySections it holds, in order). */
+struct LegacyRecord
+{
+    std::int64_t rows = 0;
+    std::int64_t cols = 0;
+    std::size_t first = 0; //!< index of arrays[0] in kLegacySections
+    std::vector<MvqiArray> arrays;
+
+    const LegacySection &
+    section(std::size_t i) const
+    {
+        return kLegacySections[first + i];
+    }
+};
+
+LegacyRecord
+legacyRecord(const MvqiView &v, const MvqiLayer &L, std::int64_t g)
+{
+    LegacyRecord rec;
+    rec.first = v.header().version == 1 ? 0 : kV2FirstSection;
+    const std::uint8_t *p =
+        v.data() + L.operands_off + g * v.operandRecordBytes();
+    std::memcpy(&rec.rows, p, sizeof(rec.rows));
+    std::memcpy(&rec.cols, p + 8, sizeof(rec.cols));
+    const std::size_t n = std::size(kLegacySections) - rec.first;
+    rec.arrays.resize(n);
+    std::memcpy(rec.arrays.data(), p + 16, n * sizeof(MvqiArray));
+    return rec;
+}
+
+} // namespace
 
 void
 MvqiView::checkArray(const MvqiArray &a, std::int64_t elem_bytes,
-                     const char *name) const
+                     const char *name, std::int64_t align) const
 {
-    fatalIf(a.off % static_cast<std::uint64_t>(kMvqiAlign) != 0, what_,
+    if (align == 0)
+        align = bakedOperandsServable() ? std::min<std::int64_t>(elem_bytes, 8)
+                                        : kMvqiAlign;
+    fatalIf(a.off % static_cast<std::uint64_t>(align) != 0, what_,
             ": misaligned ", name, " section (offset ", a.off, " is not ",
-            kMvqiAlign, "-byte aligned)");
+            align, "-byte aligned)");
     fatalIf(a.count < 0, what_, ": negative ", name, " element count ",
             a.count);
     fatalIf(a.off > static_cast<std::uint64_t>(size_), what_, ": ", name,
@@ -481,10 +585,10 @@ MvqiView::validate()
 
     checkArray(MvqiArray{h.codebook_toc_off,
                          static_cast<std::int64_t>(h.n_codebooks)},
-               sizeof(MvqiCodebook), "codebook TOC");
+               sizeof(MvqiCodebook), "codebook TOC", kMvqiAlign);
     checkArray(MvqiArray{h.layer_toc_off,
                          static_cast<std::int64_t>(h.n_layers)},
-               sizeof(MvqiLayer), "layer TOC");
+               sizeof(MvqiLayer), "layer TOC", kMvqiAlign);
 
     for (std::int64_t i = 0; i < codebookCount(); ++i) {
         const MvqiCodebook &cb = codebook(i);
@@ -495,16 +599,25 @@ MvqiView::validate()
         fatalIf(cb.k > std::numeric_limits<std::int64_t>::max() / cb.d,
                 what_, ": codebook ", i, " dimensions overflow");
         checkArray(MvqiArray{cb.codewords_off, cb.k * cb.d}, sizeof(float),
-                   "codewords");
+                   "codewords", kMvqiAlign);
     }
 
+    const bool v3 = bakedOperandsServable();
     for (std::int64_t i = 0; i < layerCount(); ++i) {
         const MvqiLayer &L = layer(i);
         fatalIf(L.name[kMvqiNameBytes - 1] != '\0', what_, ": layer ", i,
                 " name is not NUL-terminated");
-        for (int j = 0; j < 4; ++j)
+        // Consumers multiply the dims out (kernel numel, unrolled gemm
+        // K), so the product must fit.
+        std::int64_t numel = 1;
+        for (int j = 0; j < 4; ++j) {
             fatalIf(L.shape[j] <= 0, what_, ": layer ", i,
                     " has invalid shape dimension ", L.shape[j]);
+            fatalIf(numel > std::numeric_limits<std::int64_t>::max()
+                                / L.shape[j],
+                    what_, ": layer ", i, " kernel shape overflows");
+            numel *= L.shape[j];
+        }
         fatalIf(L.k <= 0, what_, ": layer ", i, " has invalid k ", L.k);
         fatalIf(L.d <= 0 || L.m <= 0 || L.d % L.m != 0, what_, ": layer ",
                 i, " has inconsistent d=", L.d, " M=", L.m);
@@ -524,48 +637,63 @@ MvqiView::validate()
                 i, " has invalid conv groups ", L.groups);
         fatalIf(L.ng < 0, what_, ": layer ", i, " has negative ng");
 
-        checkArray(L.assignments, sizeof(std::int32_t), "assignments");
+        checkArray(L.assignments, symbolBytes(), "assignments");
         fatalIf(L.assignments.count != L.ng, what_, ": layer ", i,
                 " assignments count ", L.assignments.count,
                 " does not match ng ", L.ng);
-        checkArray(L.mask_codes, sizeof(std::uint32_t), "mask codes");
+        checkArray(L.mask_codes, symbolBytes(), "mask codes");
         fatalIf(L.mask_codes.count != L.ng * (L.d / L.m), what_,
                 ": layer ", i, " mask-code count ", L.mask_codes.count,
                 " does not match ng*d/M = ", L.ng * (L.d / L.m));
         checkArray(MvqiArray{L.operands_off,
                              static_cast<std::int64_t>(L.groups)},
-                   operandRecordBytes(), "operand records");
+                   operandRecordBytes(), "operand records",
+                   v3 ? kMvqiRecordAlign : kMvqiAlign);
 
         for (std::int32_t g = 0; g < L.groups; ++g) {
-            if (h.version == 1) {
-                // The v1 full-CSR copy is never read, but it must still
-                // lie inside the image.
-                const MvqiOperandV1 v1 = v1Record(data_, L, g);
-                checkArray(v1.row_ptr, sizeof(std::int64_t), "row_ptr");
-                checkArray(v1.col_idx, sizeof(std::int32_t), "col_idx");
-                checkArray(v1.values, sizeof(float), "values");
+            std::int64_t rows = 0;
+            std::int64_t cols = 0;
+            MvqiArray row_ptr;
+            if (v3) {
+                const MvqiOperand op = operand(i, g);
+                rows = op.rows;
+                cols = op.cols;
+                fatalIf(cols >= kMaxSparseCols, what_, ": layer ", i,
+                        " operand ", g, " has ", cols,
+                        " columns, past the 16-bit column field");
+                row_ptr = op.rem_row_ptr;
+                checkArray(op.tiles, sizeof(Tile), "tiles");
+                checkArray(op.tile_cols, sizeof(std::int32_t), "tile cols");
+                checkArray(op.tile_idx, sizeof(std::uint16_t),
+                           "tile indices");
+                checkArray(op.band_ptr, sizeof(std::int64_t), "band_ptr");
+                fatalIf(op.band_ptr.count < 1, what_, ": layer ", i,
+                        " operand ", g, " band_ptr is empty");
+                checkArray(op.rem_row_ptr, sizeof(std::int64_t),
+                           "remainder row_ptr");
+                checkArray(op.rem_entries, sizeof(std::uint32_t),
+                           "remainder entries");
+            } else {
+                // Never read (the operands are repacked from the
+                // symbols), but every section must still lie inside the
+                // image and agree on its counts.
+                const LegacyRecord rec = legacyRecord(*this, L, g);
+                rows = rec.rows;
+                cols = rec.cols;
+                for (std::size_t a = 0; a < rec.arrays.size(); ++a)
+                    checkArray(rec.arrays[a], rec.section(a).elem_bytes,
+                               rec.section(a).name);
+                const std::size_t n = rec.arrays.size();
+                row_ptr = rec.arrays[n - 3];
+                fatalIf(rec.arrays[n - 2].count != rec.arrays[n - 1].count,
+                        what_, ": layer ", i, " operand ", g,
+                        " remainder col_idx/values count mismatch");
             }
-            const MvqiOperand op = operand(i, g);
-            fatalIf(op.rows < 0 || op.cols < 0, what_, ": layer ", i,
+            fatalIf(rows < 0 || cols < 0, what_, ": layer ", i,
                     " operand ", g, " has negative dimensions");
-            checkArray(op.tiles, sizeof(Tile), "tiles");
-            checkArray(op.tile_cols, sizeof(std::int32_t), "tile cols");
-            checkArray(op.tile_vals, sizeof(float), "tile vals");
-            checkArray(op.band_ptr, sizeof(std::int64_t), "band_ptr");
-            fatalIf(op.band_ptr.count < 1, what_, ": layer ", i,
-                    " operand ", g, " band_ptr is empty");
-            checkArray(op.rem_row_ptr, sizeof(std::int64_t),
-                       "remainder row_ptr");
-            fatalIf(op.rem_row_ptr.count != op.rows + 1, what_, ": layer ",
-                    i, " operand ", g, " remainder row_ptr count ",
-                    op.rem_row_ptr.count, " does not match rows+1 = ",
-                    op.rows + 1);
-            checkArray(op.rem_col_idx, sizeof(std::int32_t),
-                       "remainder col_idx");
-            checkArray(op.rem_values, sizeof(float), "remainder values");
-            fatalIf(op.rem_col_idx.count != op.rem_values.count, what_,
-                    ": layer ", i, " operand ", g,
-                    " remainder col_idx/values count mismatch");
+            fatalIf(row_ptr.count != rows + 1, what_, ": layer ", i,
+                    " operand ", g, " remainder row_ptr count ",
+                    row_ptr.count, " does not match rows+1 = ", rows + 1);
         }
     }
 }
@@ -599,24 +727,28 @@ mvqiSectionBytes(const MvqiView &v)
     }
     for (std::int64_t i = 0; i < v.layerCount(); ++i) {
         const MvqiLayer &L = v.layer(i);
-        addArray(s.assignments, L.assignments, sizeof(std::int32_t));
-        addArray(s.mask_codes, L.mask_codes, sizeof(std::uint32_t));
+        addArray(s.assignments, L.assignments, v.symbolBytes());
+        addArray(s.mask_codes, L.mask_codes, v.symbolBytes());
         add(s.records, L.operands_off, L.groups * v.operandRecordBytes());
         for (std::int32_t g = 0; g < L.groups; ++g) {
-            if (h.version == 1) {
-                const MvqiOperandV1 v1 = v1Record(v.data(), L, g);
-                addArray(s.full_csr, v1.row_ptr, sizeof(std::int64_t));
-                addArray(s.full_csr, v1.col_idx, sizeof(std::int32_t));
-                addArray(s.full_csr, v1.values, sizeof(float));
+            if (!v.bakedOperandsServable()) {
+                const LegacyRecord rec = legacyRecord(v, L, g);
+                for (std::size_t a = 0; a < rec.arrays.size(); ++a) {
+                    const LegacySection &sec = rec.section(a);
+                    addArray(sec.full_csr    ? s.full_csr
+                                 : sec.remainder ? s.remainder
+                                                 : s.tiles,
+                             rec.arrays[a], sec.elem_bytes);
+                }
+                continue;
             }
             const MvqiOperand op = v.operand(i, g);
             addArray(s.tiles, op.tiles, sizeof(Tile));
             addArray(s.tiles, op.tile_cols, sizeof(std::int32_t));
-            addArray(s.tiles, op.tile_vals, sizeof(float));
+            addArray(s.tiles, op.tile_idx, sizeof(std::uint16_t));
             addArray(s.tiles, op.band_ptr, sizeof(std::int64_t));
             addArray(s.remainder, op.rem_row_ptr, sizeof(std::int64_t));
-            addArray(s.remainder, op.rem_col_idx, sizeof(std::int32_t));
-            addArray(s.remainder, op.rem_values, sizeof(float));
+            addArray(s.remainder, op.rem_entries, sizeof(std::uint32_t));
         }
     }
 

@@ -1,18 +1,26 @@
 /**
  * @file
- * MVQI ("MVQ Image") v2 — the flat, aligned, versioned serving format.
+ * MVQI ("MVQ Image") v3 — the flat, aligned, versioned serving format.
  * Where the bit-packed stream format (core/serialize) optimizes for the
  * paper's Eq. 7 storage accounting and must be decoded and re-packed on
  * every load, an MVQI file *is* the in-memory operand layout: fixed-width
- * little-endian header + TOC structs, then 64-byte-aligned sections
- * holding codebooks, assignments, mask codes, and the pre-packed
- * panel-ready sparse operands (GroupedSparseMatrix tiles + CSR remainder)
- * exactly as the gemm drivers consume them, each kept weight stored once.
- * v1 images, which also carried a full single-row CSR copy of every
- * operand, are still read (that copy is bounds-checked and ignored); the
- * writer emits v2 only. Loading is therefore mmap +
- * validate: no bit-stream decode, no packSparseRows/packGroupedRows, and
- * N server processes share one read-only page-cached image.
+ * little-endian header + TOC structs, then sections holding codebooks
+ * (64-byte aligned), 16-bit assignments and mask codes, and the
+ * pre-packed panel-ready sparse operands (GroupedSparseMatrix tiles +
+ * CSR remainder, each array aligned to its element size) exactly as the
+ * gemm drivers consume them. Every kept weight is one 32-bit word
+ * (column << 16 | codebook index) or, inside a multi-row tile, one
+ * 16-bit codebook index; the values themselves live once, in the
+ * layer's codebook section, which every operand of the layer borrows as
+ * its value table. Loading is therefore mmap + validate: no bit-stream
+ * decode, no packSparseRows/packGroupedRows, and N server processes
+ * share one read-only page-cached image.
+ *
+ * v1 and v2 images (fp32 value + int32 column per kept weight; v1 also a
+ * full single-row CSR copy) are still read: their operand records are
+ * bounds-checked and ignored, and their operands are repacked from the
+ * assignments and mask codes (ModelArtifact::packedOperands). The writer
+ * emits v3 only; `mvqi convert` upgrades.
  *
  * Byte-level layout, alignment rules, and the versioning policy are
  * specified in docs/FORMAT.md; this header is the single source of truth
@@ -35,15 +43,19 @@
 namespace mvq::core::io {
 
 constexpr std::uint32_t kMvqiMagic = 0x4951564Du; //!< "MVQI", little-endian
-constexpr std::uint32_t kMvqiVersion = 2;   //!< the version written
+constexpr std::uint32_t kMvqiVersion = 3;   //!< the version written
 constexpr std::uint32_t kMvqiMinVersion = 1; //!< oldest version read
-constexpr std::int64_t kMvqiAlign = 64;  //!< section alignment (bytes)
+/** Alignment of codebooks and TOCs (and, in v1/v2, of every section);
+ *  v3 aligns the other arrays to their element size. */
+constexpr std::int64_t kMvqiAlign = 64;
+/** v3 operand records: 8-byte aligned (they hold 64-bit fields). */
+constexpr std::int64_t kMvqiRecordAlign = 8;
 constexpr std::size_t kMvqiNameBytes = 64; //!< fixed layer-name field
 
 /** Offset + element count of one array section (element type from use). */
 struct MvqiArray
 {
-    std::uint64_t off = 0;   //!< byte offset from file start; 64-aligned
+    std::uint64_t off = 0;   //!< byte offset from file start
     std::int64_t count = 0;  //!< element count (not bytes)
 };
 static_assert(sizeof(MvqiArray) == 16);
@@ -80,12 +92,13 @@ struct MvqiCodebook
 static_assert(sizeof(MvqiCodebook) == 48);
 
 /**
- * One pre-packed sparse operand: a GroupedSparseMatrix (one conv group of
- * one layer) flattened into offset-addressed sections. The tiles section
- * stores GroupedSparseMatrix::Tile structs verbatim (their layout is
- * static_asserted in mvqi_format.cpp), so a loaded operand borrows every
- * array straight from the image. Tiles + remainder hold every kept entry
- * exactly once.
+ * One pre-packed sparse operand (v3): a GroupedSparseMatrix (one conv
+ * group of one layer) flattened into offset-addressed sections. The
+ * tiles section stores GroupedSparseMatrix::Tile structs verbatim (their
+ * layout is static_asserted in mvqi_format.cpp), so a loaded operand
+ * borrows every array straight from the image, and its value table is
+ * the layer's codebook section (k*d fp32). Tiles + remainder hold every
+ * kept entry exactly once.
  */
 struct MvqiOperand
 {
@@ -93,35 +106,20 @@ struct MvqiOperand
     std::int64_t cols = 0;
     MvqiArray tiles;       //!< GroupedSparseMatrix::Tile (48 B each)
     MvqiArray tile_cols;   //!< int32 shared-column pool
-    MvqiArray tile_vals;   //!< fp32 tile-value pool
+    MvqiArray tile_idx;    //!< uint16 codebook indices of tile entries
     MvqiArray band_ptr;    //!< int64, n_bands + 1
     MvqiArray rem_row_ptr; //!< int64, rows + 1
-    MvqiArray rem_col_idx; //!< int32, remainder nnz
-    MvqiArray rem_values;  //!< fp32, remainder nnz
+    MvqiArray rem_entries; //!< uint32 column << 16 | codebook index
 };
-static_assert(sizeof(MvqiOperand) == 128);
+static_assert(sizeof(MvqiOperand) == 112);
 
-/**
- * The v1 operand record (read-only): the v2 fields behind a full
- * single-row CSR copy of the operand, which the tiles + remainder already
- * hold. A reader bounds-checks that copy and never reads it.
+/*
+ * v1 and v2 operand records (read-only) are rows, cols and then ten (v1:
+ * a full single-row CSR copy, tiles with an fp32 value pool, remainder
+ * CSR with int32 columns and fp32 values) or seven (v2: the same without
+ * the full CSR) MvqiArray fields: 176 and 128 bytes. A reader bounds-
+ * checks them and never reads them (mvqi_format.cpp walks them).
  */
-struct MvqiOperandV1
-{
-    std::int64_t rows = 0;
-    std::int64_t cols = 0;
-    MvqiArray row_ptr;     //!< int64, rows + 1
-    MvqiArray col_idx;     //!< int32, nnz
-    MvqiArray values;      //!< fp32, nnz
-    MvqiArray tiles;
-    MvqiArray tile_cols;
-    MvqiArray tile_vals;
-    MvqiArray band_ptr;
-    MvqiArray rem_row_ptr;
-    MvqiArray rem_col_idx;
-    MvqiArray rem_values;
-};
-static_assert(sizeof(MvqiOperandV1) == 176);
 
 /** One layer TOC entry. */
 struct MvqiLayer
@@ -138,8 +136,8 @@ struct MvqiLayer
     std::int32_t groups = 1;        //!< conv groups baked into operands
     std::int64_t dense_flops = 0;
     std::int64_t ng = 0;
-    MvqiArray assignments;          //!< int32, ng
-    MvqiArray mask_codes;           //!< uint32, ng * d/M
+    MvqiArray assignments;          //!< uint16 (v1/v2: int32), ng
+    MvqiArray mask_codes;           //!< uint16 (v1/v2: uint32), ng * d/M
     std::uint64_t operands_off = 0; //!< `groups` operand records
     std::uint64_t reserved = 0;
 };
@@ -154,11 +152,13 @@ struct MvqiWriteOptions
 };
 
 /**
- * Serialize `model` into an MVQI v2 image: runs packGroupedRows per layer
+ * Serialize `model` into an MVQI v3 image: runs packGroupedRows per layer
  * ONCE here, at serialize time, so no load ever runs it again.
  * Deterministic: same model + options => identical bytes (the golden
- * fixture test depends on this). Fatal on layer names >= 64 bytes or
- * invalid groups.
+ * fixture test depends on this). Fatal on a model that fails
+ * CompressedModel::validate, layer names >= 64 bytes, invalid groups,
+ * and layers past the 16-bit limits of the layout: conv-group gemm
+ * K >= 65,536, codebook k*d > 65,536 or C(M,N) > 65,536.
  */
 std::vector<std::uint8_t> buildMvqiImage(const CompressedModel &model,
                                          const MvqiWriteOptions &opts = {});
@@ -239,11 +239,16 @@ class MvqiView
     std::int64_t layerCount() const;
     const MvqiCodebook &codebook(std::int64_t i) const;
     const MvqiLayer &layer(std::int64_t i) const;
-    /** Operand record `group` of a layer, read from either record layout
-     *  (a v1 record drops its full-CSR fields). */
+    /** The v3 operand record `group` of a layer (panics on an older
+     *  image, whose records are never read). */
     MvqiOperand operand(std::int64_t layer_idx, std::int64_t group) const;
     /** Bytes of one operand record in this image's version. */
     std::int64_t operandRecordBytes() const;
+    /** True for a v3 image, whose operands are served as borrowed
+     *  views; older images repack theirs from the symbols. */
+    bool bakedOperandsServable() const;
+    /** Bytes of one stored assignment / mask code (2 in v3, else 4). */
+    std::int64_t symbolBytes() const;
 
     /** Typed pointer to a validated array section. */
     template <typename T>
@@ -259,8 +264,10 @@ class MvqiView
 
   private:
     void validate();
+    /** Bounds-, overflow- and alignment-check one section; `align` 0
+     *  means the version's rule for an array of `elem_bytes` elements. */
     void checkArray(const MvqiArray &a, std::int64_t elem_bytes,
-                    const char *name) const;
+                    const char *name, std::int64_t align = 0) const;
 
     const std::uint8_t *data_;
     std::int64_t size_;

@@ -55,6 +55,7 @@
 #ifndef MVQ_SERVE_SERVER_HPP
 #define MVQ_SERVE_SERVER_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -97,10 +98,39 @@ class RejectedError : public FatalError
     {
     }
 
-    RejectReason reason() const { return reason_; }
+    RejectedError(const RejectedError &other)
+        : FatalError(other), reason_(other.reason())
+    {
+    }
+
+    RejectedError &operator=(const RejectedError &) = delete;
+
+    /**
+     * A DeadlineExpired error is created by the batcher and read by the
+     * client, and whichever thread drops the last exception_ptr frees
+     * it — often the batcher, after the client's read. libsupc++'s
+     * acq_rel reference count orders that free after every read, but it
+     * is compiled without ThreadSanitizer, so the order is invisible to
+     * an instrumented build. Each read therefore also publishes itself
+     * (a release increment of `reads_`) and the destructor, which runs in
+     * the freeing thread just before the free, acquires them.
+     */
+    RejectReason
+    reason() const
+    {
+        const RejectReason r = reason_;
+        reads_.fetch_add(1, std::memory_order_release);
+        return r;
+    }
+
+    ~RejectedError() override
+    {
+        (void)reads_.load(std::memory_order_acquire);
+    }
 
   private:
     RejectReason reason_;
+    mutable std::atomic<std::uint32_t> reads_{0};
 };
 
 /** Serving health (see class docs for the transition rules). */

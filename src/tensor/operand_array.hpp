@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -24,8 +25,11 @@ namespace mvq {
 /**
  * A dynamic array that is either *owned* (backed by a std::vector — the
  * result of packing an operand at runtime) or *borrowed* (a read-only
- * span over memory something else owns — e.g. one 64-byte-aligned
- * section of an MVQI model image; see core/io/model_artifact).
+ * span over memory something else owns — e.g. one section of an MVQI
+ * model image; see core/io/model_artifact). A borrowed array may also
+ * hold a reference on what it borrows (share()): the runtime-packed
+ * operands of one conv share one value table that way, however many
+ * groups the conv has.
  *
  * The read API (const data()/size()/operator[]/iteration) works in both
  * modes and is what every gemm driver uses — drivers take operands by
@@ -63,13 +67,22 @@ class OperandArray
         return a;
     }
 
+    /** Borrow all of `*v`, keeping it alive for as long as this array
+     *  (or any copy of it) refers to it. */
+    static OperandArray
+    share(std::shared_ptr<const std::vector<T>> v)
+    {
+        OperandArray a = borrow(v->data(),
+                                static_cast<std::int64_t>(v->size()));
+        a.keep_ = std::move(v);
+        return a;
+    }
+
     OperandArray &
     operator=(std::initializer_list<T> init)
     {
         owned_.assign(init);
-        borrowed_ = false;
-        bdata_ = nullptr;
-        bsize_ = 0;
+        release();
         return *this;
     }
 
@@ -100,7 +113,7 @@ class OperandArray
 
     void reserve(std::size_t n) { ensureOwned(); owned_.reserve(n); }
     void resize(std::size_t n) { ensureOwned(); owned_.resize(n); }
-    void clear() { owned_.clear(); borrowed_ = false; bdata_ = nullptr; bsize_ = 0; }
+    void clear() { owned_.clear(); release(); }
 
     void push_back(const T &v) { ensureOwned(); owned_.push_back(v); }
 
@@ -128,16 +141,25 @@ class OperandArray
     {
         if (borrowed_) {
             owned_.assign(bdata_, bdata_ + bsize_);
-            borrowed_ = false;
-            bdata_ = nullptr;
-            bsize_ = 0;
+            release();
         }
+    }
+
+    /** Drop the borrowed span (and any reference it holds). */
+    void
+    release()
+    {
+        borrowed_ = false;
+        bdata_ = nullptr;
+        bsize_ = 0;
+        keep_.reset();
     }
 
     std::vector<T> owned_;
     const T *bdata_ = nullptr;
     std::int64_t bsize_ = 0;
     bool borrowed_ = false;
+    std::shared_ptr<const std::vector<T>> keep_; //!< set by share()
 };
 
 } // namespace mvq

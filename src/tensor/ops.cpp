@@ -21,6 +21,11 @@ namespace mvq {
 // duplicated there; keep the two constants in lockstep.
 static_assert(kSparseTileMaxRows == simd::kSparseMultiRowMr,
               "grouped-operand tile rows must match the multi-row kernel");
+static_assert(kEntryColumnShift == simd::kSparseEntryColumnShift,
+              "packed-entry layout must match the sparse micro-kernels");
+static_assert(kMaxSparseCols == std::int64_t{1} << kEntryColumnShift
+                  && kMaxValueTable == std::int64_t{kEntryIndexMask} + 1,
+              "packed-entry limits must match its field widths");
 
 namespace {
 
@@ -183,10 +188,8 @@ sparseRowScanRaw(const SparseRowMatrix &a, const float *pb, std::int64_t ldb,
         float *crow = pc + i * ldc;
         for (std::int64_t e = a.row_ptr[static_cast<std::size_t>(i)];
              e < a.row_ptr[static_cast<std::size_t>(i + 1)]; ++e) {
-            const float av =
-                alpha * a.values[static_cast<std::size_t>(e)];
-            const float *brow =
-                pb + a.col_idx[static_cast<std::size_t>(e)] * ldb;
+            const float av = alpha * a.value(e);
+            const float *brow = pb + a.column(e) * ldb;
             for (std::int64_t j = 0; j < n; ++j)
                 crow[j] += av * brow[j];
         }
@@ -211,36 +214,39 @@ checkSparseOperand(const SparseRowMatrix &a)
     panicIf(static_cast<std::int64_t>(a.row_ptr.size()) != a.rows + 1,
             "sparse operand row_ptr size ", a.row_ptr.size(),
             " does not match rows ", a.rows);
-    panicIf(a.col_idx.size() != a.values.size(),
-            "sparse operand col_idx/values size mismatch");
     panicIf(!a.row_ptr.empty()
-                && (a.row_ptr.front() != 0
-                    || a.row_ptr.back()
-                        != static_cast<std::int64_t>(a.values.size())),
+                && (a.row_ptr.front() != 0 || a.row_ptr.back() != a.nnz()),
             "sparse operand row_ptr does not cover all entries");
     for (std::int64_t i = 0; i < a.rows; ++i)
         panicIf(a.row_ptr[static_cast<std::size_t>(i)]
                     > a.row_ptr[static_cast<std::size_t>(i + 1)],
                 "sparse operand row_ptr not monotone at row ", i);
-    // The blocked driver binary-searches each row's index range and the
-    // micro-kernels index packed B rows with kidx - k0, so the column
-    // invariants (ascending within a row, within [0, cols)) are memory
+    // The blocked driver binary-searches each row's column range, the
+    // micro-kernels index packed B rows with column - k0 and decode values
+    // as table[index], so the entry invariants (columns ascending within a
+    // row and within [0, cols), indices within the table) are memory
     // safety, not just correctness — a malformed operand must panic here
     // rather than read out of bounds. O(nnz); operands packed through
     // validateSparseOperand pay this once at pack time, hand-built ones
     // per gemm call.
+    const std::int64_t *rp = a.row_ptr.data();
+    const std::uint32_t *ents = a.col_idx.data();
+    const std::size_t table = a.values.size();
     for (std::int64_t i = 0; i < a.rows; ++i) {
         std::int32_t prev = -1;
-        for (std::int64_t e = a.row_ptr[static_cast<std::size_t>(i)];
-             e < a.row_ptr[static_cast<std::size_t>(i + 1)]; ++e) {
-            const std::int32_t col =
-                a.col_idx[static_cast<std::size_t>(e)];
+        for (std::int64_t e = rp[i]; e < rp[i + 1]; ++e) {
+            const std::uint32_t w = ents[e];
+            const std::int32_t col = entryColumn(w);
             panicIf(col <= prev, "sparse operand row ", i,
-                    ": col_idx not strictly ascending at entry ", e);
-            panicIf(col >= a.cols, "sparse operand row ", i,
-                    ": col_idx ", col, " out of range [0, ", a.cols, ")");
+                    ": columns not strictly ascending at entry ", e);
+            panicIf(entryIndex(w) >= table, "sparse operand row ", i,
+                    ": table index ", entryIndex(w), " at entry ", e,
+                    " out of range [0, ", table, ")");
             prev = col;
         }
+        // Ascending columns: the row's last one is its largest.
+        panicIf(prev >= a.cols, "sparse operand row ", i, ": column ",
+                prev, " out of range [0, ", a.cols, ")");
     }
 }
 
@@ -424,18 +430,29 @@ sparsifyRows(const Tensor &a)
     SparseRowMatrix sp;
     sp.rows = a.dim(0);
     sp.cols = a.dim(1);
+    panicIf(sp.cols > kMaxSparseCols, "sparsifyRows: ", sp.cols,
+            " columns exceed the packed-entry limit of ", kMaxSparseCols);
     sp.row_ptr.reserve(static_cast<std::size_t>(sp.rows + 1));
     sp.row_ptr.push_back(0);
+    // Table slot per distinct bit pattern, in first-appearance order.
+    std::unordered_map<std::uint32_t, std::int64_t> slot;
     const float *pa = a.data();
     for (std::int64_t i = 0; i < sp.rows; ++i) {
         const float *arow = pa + i * sp.cols;
         for (std::int64_t j = 0; j < sp.cols; ++j) {
-            if (arow[j] != 0.0f) {
-                sp.col_idx.push_back(static_cast<std::int32_t>(j));
+            if (arow[j] == 0.0f)
+                continue;
+            const auto [it, fresh] = slot.try_emplace(
+                std::bit_cast<std::uint32_t>(arow[j]),
+                static_cast<std::int64_t>(sp.values.size()));
+            if (fresh) {
+                panicIf(it->second >= kMaxValueTable, "sparsifyRows: more "
+                        "than ", kMaxValueTable, " distinct kept values");
                 sp.values.push_back(arow[j]);
             }
+            sp.col_idx.push_back(packEntry(j, it->second));
         }
-        sp.row_ptr.push_back(static_cast<std::int64_t>(sp.values.size()));
+        sp.row_ptr.push_back(sp.nnz());
     }
     validateSparseOperand(sp);
     return sp;
@@ -458,13 +475,12 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
     out.rows = {rows.rows, rows.cols, rows.nnz()};
     const SparseRowMatrix &src = rows;
 
-    // Remainder entries accumulate as (row, col, value) triples; the rows
+    // Remainder entries accumulate as (row, packed entry) pairs; the rows
     // emerge block by block in ascending order and each row's columns stay
     // ascending, so the final CSR assembles with a single pass.
     struct Entry {
         std::int32_t row;
-        std::int32_t col;
-        float val;
+        std::uint32_t word; // packEntry(col, table index)
     };
     std::vector<Entry> rem;
 
@@ -472,14 +488,14 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
     struct Bucket {
         std::uint32_t key = 0;             // kept-row bitmask within block
         std::vector<std::int32_t> cols;    // ascending shared columns
-        std::vector<float> vals;           // column-major: per col, row-order
+        std::vector<std::uint16_t> vals;   // column-major: per col, row-order
     };
     std::vector<Bucket> buckets;
     std::unordered_map<std::uint32_t, std::size_t> bucket_of;
     struct ColEntry {
         std::int32_t col;
         std::int32_t row_local;
-        float val;
+        std::uint16_t index; // into the value table
     };
     std::vector<ColEntry> ents;
 
@@ -493,10 +509,13 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
         ents.clear();
         for (std::int64_t r = r0; r < r1; ++r) {
             for (std::int64_t e = src.row_ptr[static_cast<std::size_t>(r)];
-                 e < src.row_ptr[static_cast<std::size_t>(r + 1)]; ++e)
-                ents.push_back({src.col_idx[static_cast<std::size_t>(e)],
+                 e < src.row_ptr[static_cast<std::size_t>(r + 1)]; ++e) {
+                const std::uint32_t w =
+                    src.col_idx[static_cast<std::size_t>(e)];
+                ents.push_back({entryColumn(w),
                                 static_cast<std::int32_t>(r - r0),
-                                src.values[static_cast<std::size_t>(e)]});
+                                static_cast<std::uint16_t>(entryIndex(w))});
+            }
         }
         std::sort(ents.begin(), ents.end(),
                   [](const ColEntry &x, const ColEntry &y) {
@@ -522,7 +541,7 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
             Bucket &bk = buckets[it->second];
             bk.cols.push_back(ents[e].col);
             for (std::size_t q = e; q < e1; ++q)
-                bk.vals.push_back(ents[q].val);
+                bk.vals.push_back(ents[q].index);
             e = e1;
         }
 
@@ -546,8 +565,9 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
                         const std::int32_t rl = static_cast<std::int32_t>(
                             std::countr_zero(bits));
                         rem.push_back({static_cast<std::int32_t>(r0) + rl,
-                                       bk.cols[static_cast<std::size_t>(q)],
-                                       bk.vals[static_cast<std::size_t>(v)]});
+                                       packEntry(
+                                           bk.cols[static_cast<std::size_t>(q)],
+                                           bk.vals[static_cast<std::size_t>(v)])});
                     }
                 }
                 continue;
@@ -573,9 +593,9 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
                     for (std::int64_t q = 0; q < ncols; ++q)
                         rem.push_back(
                             {static_cast<std::int32_t>(r0) + rl[t0],
-                             bk.cols[static_cast<std::size_t>(q)],
-                             bk.vals[static_cast<std::size_t>(q * krows
-                                                              + t0)]});
+                             packEntry(bk.cols[static_cast<std::size_t>(q)],
+                                       bk.vals[static_cast<std::size_t>(
+                                           q * krows + t0)])});
                     ++t0;
                     continue;
                 }
@@ -590,7 +610,7 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
                 // tile's row-major [nrows x ncols] layout.
                 out.vals.resize(out.vals.size()
                                 + static_cast<std::size_t>(trows * ncols));
-                float *dst = out.vals.data() + tl.val_off;
+                std::uint16_t *dst = out.vals.data() + tl.val_off;
                 for (std::int64_t r = 0; r < trows; ++r)
                     for (std::int64_t q = 0; q < ncols; ++q)
                         dst[r * ncols + q] = bk.vals[static_cast<std::size_t>(
@@ -607,25 +627,26 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
     // Assemble the remainder CSR: blocks emitted in ascending row order
     // but interleaved across buckets, so one sort puts every row's entries
     // back into ascending-column CSR order.
+    // (The column is the word's high half, so word order is column order.)
     std::sort(rem.begin(), rem.end(), [](const Entry &x, const Entry &y) {
-        return x.row != y.row ? x.row < y.row : x.col < y.col;
+        return x.row != y.row ? x.row < y.row : x.word < y.word;
     });
     out.remainder.rows = src.rows;
     out.remainder.cols = src.cols;
     out.remainder.row_ptr.reserve(static_cast<std::size_t>(src.rows + 1));
     out.remainder.row_ptr.push_back(0);
     out.remainder.col_idx.reserve(rem.size());
-    out.remainder.values.reserve(rem.size());
     std::size_t e = 0;
     for (std::int64_t r = 0; r < src.rows; ++r) {
         while (e < rem.size() && rem[e].row == r) {
-            out.remainder.col_idx.push_back(rem[e].col);
-            out.remainder.values.push_back(rem[e].val);
+            out.remainder.col_idx.push_back(rem[e].word);
             ++e;
         }
-        out.remainder.row_ptr.push_back(
-            static_cast<std::int64_t>(out.remainder.values.size()));
+        out.remainder.row_ptr.push_back(out.remainder.nnz());
     }
+    // Tiles and remainder index the input's table; it moves, not copies
+    // (a shared table stays shared).
+    out.remainder.values = std::move(rows.values);
     out.remainder.validated = true;
 
     panicIf(out.tileNnz() + out.remainder.nnz() != src.nnz(),
@@ -659,17 +680,21 @@ sparseRowsKcPass(const SparseRowMatrix &a, std::int64_t k0, std::int64_t kc,
         for (std::int64_t blk = blk_b; blk < blk_e; ++blk) {
             const std::int64_t i0 = blk * MC;
             const std::int64_t mc = std::min(MC, m - i0);
-            const std::int32_t *idx = a.col_idx.data();
+            const std::uint32_t *ents = a.col_idx.data();
+            // Entries order by column (the word's high half), so the K
+            // block's slice of a row is found on the words directly.
+            const auto before = [](std::uint32_t w, std::int64_t col) {
+                return entryColumn(w) < col;
+            };
             for (std::int64_t r = 0; r < mc; ++r) {
                 const std::size_t row =
                     static_cast<std::size_t>(i0 + r);
-                const std::int32_t *lo = std::lower_bound(
-                    idx + a.row_ptr[row], idx + a.row_ptr[row + 1],
-                    static_cast<std::int32_t>(k0));
-                const std::int32_t *hi = std::lower_bound(
-                    lo, idx + a.row_ptr[row + 1],
-                    static_cast<std::int32_t>(k0 + kc));
-                ent0[r] = lo - idx;
+                const std::uint32_t *lo = std::lower_bound(
+                    ents + a.row_ptr[row], ents + a.row_ptr[row + 1], k0,
+                    before);
+                const std::uint32_t *hi = std::lower_bound(
+                    lo, ents + a.row_ptr[row + 1], k0 + kc, before);
+                ent0[r] = lo - ents;
                 entn[r] = hi - lo;
             }
             // Panel-outer, row-inner: the kc x nr packed panel
@@ -682,9 +707,9 @@ sparseRowsKcPass(const SparseRowMatrix &a, std::int64_t k0, std::int64_t kc,
                     if (entn[r] == 0)
                         continue;
                     std::fill(acc, acc + nr, 0.0f);
-                    kn.gemmSparseMicroKernel(
-                        a.values.data() + ent0[r], idx + ent0[r],
-                        entn[r], k0, bp, nr, acc);
+                    kn.gemmSparseMicroKernel(a.values.data(),
+                                             ents + ent0[r], entn[r], k0,
+                                             bp, nr, acc);
                     float *crow =
                         pc + (i0 + r) * ldc + jc + q * nr;
                     // x * 1.0f == x bitwise, so the branch is a pure
@@ -759,6 +784,7 @@ checkGroupedOperand(const GroupedSparseMatrix &a)
         static_cast<std::int64_t>(a.cols.size());
     const std::int64_t nvals_pool =
         static_cast<std::int64_t>(a.vals.size());
+    const std::int64_t table = static_cast<std::int64_t>(a.table().size());
     panicIf(a.remainder.rows != a.rows.rows
                 || a.remainder.cols != a.rows.cols,
             "grouped operand remainder shape mismatch");
@@ -787,6 +813,10 @@ checkGroupedOperand(const GroupedSparseMatrix &a)
         panicIf(t.val_off < 0
                     || t.val_off + t.nrows * t.ncols > nvals_pool,
                 "grouped operand tile value range out of bounds");
+        const std::uint16_t *vidx = a.vals.data() + t.val_off;
+        for (std::int64_t v = 0; v < t.nrows * t.ncols; ++v)
+            panicIf(vidx[v] >= table, "grouped operand tile table index ",
+                    vidx[v], " out of range [0, ", table, ")");
         std::int32_t prev = -1;
         for (std::int64_t q = 0; q < t.ncols; ++q) {
             const std::int32_t col =
@@ -924,6 +954,7 @@ gemmSparseGroupedBlockedDriver(const GroupedSparseMatrix &a, std::int64_t n,
                             const std::int64_t lo =
                                 tlo[static_cast<std::size_t>(t)];
                             kn.gemmSparseMultiRowMicroKernel(
+                                a.table().data(),
                                 a.vals.data() + tl.val_off + lo,
                                 tl.ncols, tl.nrows,
                                 a.cols.data() + tl.col_off + lo,

@@ -87,6 +87,44 @@ Tensor matmul(const Tensor &a, const Tensor &b,
               bool trans_a = false, bool trans_b = false);
 
 /**
+ * Bit layout of one kept entry of a sparse operand: a 32-bit word with
+ * the entry's column in the high 16 bits and an index into the operand's
+ * fp32 value table in the low 16 bits. An operand therefore has at most
+ * kMaxSparseCols columns and a table of at most kMaxValueTable values.
+ * The kernels decode the value (table[index]) where they used to load it,
+ * so the table, not the entry stream, carries the fp32 bits: for an MVQ
+ * weight the table is the layer's codebook and index = assignment * d +
+ * lane, which is how the paper's EWS array decodes codewords in its
+ * datapath.
+ */
+constexpr int kEntryColumnShift = 16;
+constexpr std::uint32_t kEntryIndexMask = 0xFFFFu;
+constexpr std::int64_t kMaxSparseCols = std::int64_t{1} << 16;
+constexpr std::int64_t kMaxValueTable = std::int64_t{1} << 16;
+
+/** Pack (column, table index); both must be below 2^16. */
+constexpr std::uint32_t
+packEntry(std::int64_t col, std::int64_t index)
+{
+    return static_cast<std::uint32_t>(col) << kEntryColumnShift
+        | static_cast<std::uint32_t>(index);
+}
+
+/** Column of a packed entry. */
+constexpr std::int32_t
+entryColumn(std::uint32_t w)
+{
+    return static_cast<std::int32_t>(w >> kEntryColumnShift);
+}
+
+/** Value-table index of a packed entry. */
+constexpr std::uint32_t
+entryIndex(std::uint32_t w)
+{
+    return w & kEntryIndexMask;
+}
+
+/**
  * Per-row compressed-column (CSR) operand for gemmSparseA. For MVQ
  * weights the N:M mask makes the kept positions statically known per
  * M-group, so the operand is built once (from the stored mask codes, see
@@ -94,35 +132,56 @@ Tensor matmul(const Tensor &a, const Tensor &b,
  * pass — the pack stage of the sparse gemm never touches pruned
  * positions.
  *
- * The arrays are OperandArray so an operand can either own its storage
- * (packed at runtime) or borrow it from an mmap'ed MVQI model image
- * (core/io/model_artifact) — the drivers only ever read through const
- * accessors, so both modes share every kernel unchanged.
+ * Kept entries are codebook-domain: one packed word per entry (see
+ * packEntry) whose index selects the entry's value from `values`, a
+ * table shared by every entry (and, for a packed conv, by every group of
+ * the conv). The arrays are OperandArray so an operand can own its
+ * storage (packed at runtime), share a table, or borrow everything from
+ * an mmap'ed MVQI model image (core/io/model_artifact) — the drivers only
+ * ever read through const accessors, so every mode shares every kernel
+ * unchanged.
  */
 struct SparseRowMatrix
 {
     std::int64_t rows = 0; //!< logical row count (m of the gemm)
     std::int64_t cols = 0; //!< logical column count (k of the gemm)
-    /** rows+1 offsets into col_idx/values; row i owns [row_ptr[i],
+    /** rows+1 offsets into col_idx; row i owns [row_ptr[i],
      *  row_ptr[i+1]). */
     OperandArray<std::int64_t> row_ptr;
-    OperandArray<std::int32_t> col_idx; //!< ascending within each row
-    OperandArray<float> values;         //!< kept entries, row-major
+    /** Kept entries, row-major: packEntry(column, table index), columns
+     *  ascending within each row. */
+    OperandArray<std::uint32_t> col_idx;
+    OperandArray<float> values; //!< the value table entries index into
 
     /**
      * Set by validateSparseOperand once the structural invariants (row_ptr
-     * coverage, ascending in-range col_idx) have been checked. The gemm
-     * entry points trust a validated operand and skip their O(nnz)
-     * re-check — the pack stage runs once, the forward pass runs per
-     * inference, so validation belongs with the pack. Hand-built operands
-     * start unvalidated and are still checked (and panic) per call.
+     * coverage, ascending in-range columns, in-range table indices) have
+     * been checked. The gemm entry points trust a validated operand and
+     * skip their O(nnz) re-check — the pack stage runs once, the forward
+     * pass runs per inference, so validation belongs with the pack.
+     * Hand-built operands start unvalidated and are still checked (and
+     * panic) per call.
      */
     bool validated = false;
 
     std::int64_t
     nnz() const
     {
-        return static_cast<std::int64_t>(values.size());
+        return static_cast<std::int64_t>(col_idx.size());
+    }
+
+    /** Column of kept entry e. */
+    std::int32_t
+    column(std::int64_t e) const
+    {
+        return entryColumn(col_idx[static_cast<std::size_t>(e)]);
+    }
+
+    /** Decoded value of kept entry e. */
+    float
+    value(std::int64_t e) const
+    {
+        return values[entryIndex(col_idx[static_cast<std::size_t>(e)])];
     }
 
     /** Kept fraction (1.0 = dense); N/M for an exact N:M operand. */
@@ -138,8 +197,9 @@ struct SparseRowMatrix
 
 /**
  * Check the structural invariants of a compressed-row operand (row_ptr
- * size/monotone/coverage, col_idx strictly ascending within each row and
- * in [0, cols)) and mark it validated, so the gemm entry points skip the
+ * size/monotone/coverage, entry columns strictly ascending within each
+ * row and in [0, cols), table indices below values.size()) and mark it
+ * validated, so the gemm entry points skip the
  * O(nnz) re-check on every call. Panics (PanicError) on violation. The
  * invariants are memory safety, not just correctness: the blocked driver
  * binary-searches each row's index range and the micro-kernels index
@@ -147,7 +207,13 @@ struct SparseRowMatrix
  */
 void validateSparseOperand(SparseRowMatrix &a);
 
-/** Compress a rank-2 tensor's exact non-zeros into CSR (tests/benches). */
+/**
+ * Compress a rank-2 tensor's exact non-zeros into CSR (tests/benches).
+ * The value table holds the distinct kept values (bit patterns) in
+ * first-appearance order; panics when there are more than
+ * kMaxValueTable of them or the tensor has more than kMaxSparseCols
+ * columns.
+ */
 SparseRowMatrix sparsifyRows(const Tensor &a);
 
 struct GroupedSparseMatrix;
@@ -155,10 +221,12 @@ struct GroupedSparseMatrix;
 /**
  * Full structural validation of a grouped operand: the remainder CSR via
  * validateSparseOperand's invariants plus the tile/band layer (tile rows
- * ascending and in range, column/value pools covered, band_ptr covering
- * tiles, tiles + remainder adding up to rows.nnz()). Panics (PanicError)
- * on violation; marks every validated flag on success. groupSparseRows
- * validates what it builds; this entry point exists for operands assembled from *untrusted* storage — above
+ * ascending and in range, column/index pools covered, tile indices below
+ * table().size(), band_ptr covering tiles, tiles + remainder adding up
+ * to rows.nnz()). Panics (PanicError) on violation; marks every
+ * validated flag on success. groupSparseRows validates what it builds;
+ * this entry point exists for operands assembled from *untrusted*
+ * storage — above
  * all borrowed views over an MVQI model image, where these invariants
  * are the line between a corrupt file failing loudly and the kernels
  * reading out of bounds.
@@ -179,8 +247,10 @@ constexpr std::int64_t kSparseTileMaxRows = 4;
  * share their kept-row pattern exactly. groupSparseRows buckets the
  * columns of each block by that kept-row set and emits each bucket as
  * row-tiles: up to kSparseTileMaxRows rows x the bucket's shared
- * ascending column list, with the tile's kept values stored densely
- * (row-major, row r of tile t at vals[t.val_off + r*t.ncols]). The
+ * ascending column list, with the tile's kept entries stored densely as
+ * 16-bit value-table indices (row-major, row r of tile t at
+ * vals[t.val_off + r*t.ncols]). Tiles and remainder share one table,
+ * remainder.values (table()). The
  * multi-row micro-kernel then loads each packed B row once per tile
  * instead of once per row — MVQ's "one operand fetch serves many
  * accumulations" argument, realized in software.
@@ -221,7 +291,8 @@ struct GroupedSparseMatrix
     Dims rows;
     OperandArray<Tile> tiles;  //!< bucket chunks, grouped into bands
     OperandArray<std::int32_t> cols; //!< shared column patterns, ascending
-    OperandArray<float> vals;        //!< tile values, row-major per tile
+    /** Tile entries as indices into table(), row-major per tile. */
+    OperandArray<std::uint16_t> vals;
     /**
      * Bands partition `tiles`: band b owns tiles [band_ptr[b],
      * band_ptr[b+1]), and tiles of *different* bands touch disjoint C
@@ -231,8 +302,13 @@ struct GroupedSparseMatrix
      * bit-identical-across-thread-counts contract.
      */
     OperandArray<std::int64_t> band_ptr{0};
-    SparseRowMatrix remainder; //!< untiled entries (single-row kernel)
+    /** Untiled entries (single-row kernel); its value table is the
+     *  table of the whole operand. */
+    SparseRowMatrix remainder;
     bool validated = false;    //!< set by the builders after checking
+
+    /** The value table tile and remainder entries index into. */
+    const OperandArray<float> &table() const { return remainder.values; }
 
     /** Kept entries held by tiles (rows.nnz() - remainder.nnz()). */
     std::int64_t

@@ -5,10 +5,10 @@
  * active MVQ_SIMD ISA), the `.mvq` open converting to an in-memory
  * image, borrowed-view vs owned-operand forward identity,
  * operand sharing/caching, mapping lifetime, the aligned-heap fallback,
- * the checked-in golden fixture pinning MVQI format v2 byte-for-byte, and
- * the frozen v1 fixture still loading, forwarding and upgrading.
+ * the checked-in golden fixture pinning MVQI format v3 byte-for-byte, and
+ * the frozen v1 and v2 fixtures still loading, forwarding and upgrading.
  *
- * Regenerate the v2 fixture (after an *intentional* format change — bump
+ * Regenerate the v3 fixture (after an *intentional* format change — bump
  * kMvqiVersion!) with:  MVQ_WRITE_GOLDEN=1 ./model_artifact_test
  */
 
@@ -152,12 +152,23 @@ TEST_F(ModelArtifactTest, BorrowedViewsAliasTheImageZeroCopy)
                 // no packGroupedRows at borrow time, no copies.
                 EXPECT_TRUE(g.remainder.row_ptr.borrowed()) << path;
                 EXPECT_TRUE(g.remainder.col_idx.borrowed()) << path;
-                EXPECT_TRUE(g.remainder.values.borrowed()) << path;
+                EXPECT_TRUE(g.table().borrowed()) << path;
                 EXPECT_TRUE(g.tiles.borrowed()) << path;
+                EXPECT_TRUE(g.vals.borrowed()) << path;
                 EXPECT_TRUE(g.band_ptr.borrowed()) << path;
                 const auto *p = reinterpret_cast<const std::uint8_t *>(
                     g.remainder.row_ptr.data());
                 EXPECT_TRUE(p >= base && p <= end) << path;
+                // The value table is the layer's codebook section.
+                const io::MvqiCodebook &cb = art->view().codebook(
+                    art->view().layer(i).codebook_id);
+                EXPECT_EQ(reinterpret_cast<const std::uint8_t *>(
+                              g.table().data()),
+                          base + cb.codewords_off)
+                    << path;
+                EXPECT_EQ(static_cast<std::int64_t>(g.table().size()),
+                          cb.k * cb.d)
+                    << path;
                 EXPECT_TRUE(g.validated) << path;
             }
         }
@@ -248,12 +259,66 @@ TEST_F(ModelArtifactTest, NonBakedGroupCountFallsBackCorrectly)
         (*m->packedOperands(1, 1))[0].remainder.row_ptr.borrowed());
 }
 
-TEST(MvqiGolden, FixturePinsFormatV2)
+/** Expect buildMvqiImage to fail naming `layer` and `needle`. */
+void
+expectWriterRejects(const CompressedModel &m, const std::string &layer,
+                    const std::string &needle)
 {
-    // Byte-for-byte lock on the checked-in v2 image. If this fails you
+    try {
+        io::buildMvqiImage(m);
+        FAIL() << "writer accepted a layer past the 16-bit limits";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(layer), std::string::npos) << what;
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+}
+
+TEST(MvqiWriter, RejectsLayersPastThe16BitLimits)
+{
+    // Conv-group gemm K = 4096 * 4 * 4 = 65,536 does not fit a 16-bit
+    // column.
+    {
+        CompressedModel m = makeGoldenModel();
+        CompressedLayer &l = m.layers[0];
+        l.weight_shape = Shape({16, 4096, 4, 4});
+        const std::int64_t ng = l.weight_shape.numel() / l.cfg.d;
+        l.assignments.assign(static_cast<std::size_t>(ng), 0);
+        l.mask_codes.assign(static_cast<std::size_t>(ng), 0);
+        expectWriterRejects(m, "conv0", "16-bit column limit");
+    }
+    // A codebook of 4097 x 16 = 65,552 values does not fit a 16-bit
+    // index.
+    {
+        CompressedModel m = makeGoldenModel();
+        m.codebooks[0].codewords = Tensor(Shape({4097, 16}));
+        expectWriterRejects(m, "conv0", "16-bit table limit");
+    }
+    // 12:24 has C(24,12) = 2,704,156 mask codes.
+    {
+        CompressedModel m;
+        Codebook cb;
+        cb.codewords = Tensor(Shape({1, 24}));
+        m.codebooks.push_back(cb);
+        CompressedLayer l;
+        l.name = "wide_mask";
+        l.weight_shape = Shape({24, 1, 1, 1});
+        l.cfg.k = 1;
+        l.cfg.d = 24;
+        l.cfg.pattern = NmPattern{12, 24};
+        l.assignments = {0};
+        l.mask_codes = {0};
+        m.layers.push_back(l);
+        expectWriterRejects(m, "wide_mask", "16-bit mask field");
+    }
+}
+
+TEST(MvqiGolden, FixturePinsFormatV3)
+{
+    // Byte-for-byte lock on the checked-in v3 image. If this fails you
     // changed the on-disk layout: bump kMvqiVersion, update
     // docs/FORMAT.md, and regenerate with MVQ_WRITE_GOLDEN=1.
-    const std::string golden_path = goldenPath("golden_v2.mvqi");
+    const std::string golden_path = goldenPath("golden_v3.mvqi");
     const std::vector<std::uint8_t> image =
         io::buildMvqiImage(makeGoldenModel(), goldenWriteOptions());
 
@@ -268,110 +333,131 @@ TEST(MvqiGolden, FixturePinsFormatV2)
     const std::vector<std::uint8_t> golden = readBytes(golden_path);
     ASSERT_EQ(image.size(), golden.size());
     EXPECT_EQ(std::memcmp(image.data(), golden.data(), image.size()), 0)
-        << "MVQI writer output drifted from the v2 fixture";
+        << "MVQI writer output drifted from the v3 fixture";
 }
 
-TEST(MvqiGolden, FixtureLoadsAndForwards)
-{
-    // The frozen v1 fixture is not just bytes: it must open, validate,
-    // and serve borrowed operands that forward bit-identically to a
-    // fresh image.
-    const auto art = io::openArtifact(goldenPath("golden_v1.mvqi"));
-    ASSERT_EQ(art->layerCount(), 2);
-    EXPECT_EQ(art->view().header().version, 1u);
+/** The frozen fixtures of the older versions, oldest first. */
+constexpr const char *kOldFixtures[] = {"golden_v1.mvqi", "golden_v2.mvqi"};
 
-    const std::string fresh_path = tmpPath("mvq_golden_fresh.mvqi");
-    io::saveArtifact(makeGoldenModel(), fresh_path,
-                     io::ArtifactFormat::Mvqi, goldenWriteOptions());
-    const auto fresh = io::openArtifact(fresh_path);
-    EXPECT_TRUE(tensorsBitIdentical(forwardLayer(*art, 0, 1, 6),
-                                    forwardLayer(*fresh, 0, 1, 6)));
-    EXPECT_TRUE(tensorsBitIdentical(forwardLayer(*art, 1, 2, 6),
-                                    forwardLayer(*fresh, 1, 2, 6)));
-    std::remove(fresh_path.c_str());
+TEST(MvqiGolden, OldFixturesLoadThroughTheRepackPath)
+{
+    // v1/v2 operand records hold fp32 values, not codebook indices, so a
+    // reader bounds-checks and ignores them: every layer is repacked from
+    // the image's assignments and mask codes (owned operands sharing one
+    // codebook table per layer), exactly like a non-baked group count.
+    std::uint32_t version = 1;
+    for (const char *name : kOldFixtures) {
+        const auto art = io::openArtifact(goldenPath(name));
+        ASSERT_EQ(art->layerCount(), 2);
+        EXPECT_EQ(art->view().header().version, version++);
+        EXPECT_FALSE(art->view().bakedOperandsServable());
+        for (std::int64_t i = 0; i < art->layerCount(); ++i) {
+            const io::SharedOperands ops = art->packedOperands(i);
+            ASSERT_EQ(static_cast<std::int64_t>(ops->size()),
+                      art->bakedGroups(i));
+            for (const GroupedSparseMatrix &g : *ops) {
+                EXPECT_FALSE(g.remainder.row_ptr.borrowed()) << name;
+                EXPECT_TRUE(g.validated) << name;
+                // All groups of one layer share one table.
+                EXPECT_EQ(g.table().data(), ops->front().table().data());
+            }
+        }
+    }
 }
 
-TEST(MvqiGolden, V1FixtureForwardsMatchV2ImagePerIsa)
+TEST(MvqiGolden, OldFixturesForwardMatchV3ImagePerIsa)
 {
-    // The v1 record's extra full CSR is never read: both versions serve
-    // the same tiles + remainder, so forwards memcmp-match on every ISA.
+    // The repacked operands of the v1/v2 fixtures and the borrowed
+    // operands of the v3 image are the same operands, so forwards
+    // memcmp-match on every ISA.
     const simd::Isa saved = simd::activeIsa();
-    const auto v1 = io::openArtifact(goldenPath("golden_v1.mvqi"));
-    const std::string v2_path = tmpPath("mvq_golden_v2_isa.mvqi");
-    io::saveArtifact(makeGoldenModel(), v2_path, io::ArtifactFormat::Mvqi,
+    const std::string v3_path = tmpPath("mvq_golden_v3_isa.mvqi");
+    io::saveArtifact(makeGoldenModel(), v3_path, io::ArtifactFormat::Mvqi,
                      goldenWriteOptions());
-    const auto v2 = io::openArtifact(v2_path);
-    ASSERT_EQ(v2->view().header().version, io::kMvqiVersion);
-    for (simd::Isa isa :
-         {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Neon}) {
-        if (!simd::isaAvailable(isa))
-            continue;
-        ASSERT_TRUE(simd::setIsa(isa));
-        for (std::int64_t i = 0; i < 2; ++i) {
-            const std::int64_t groups = v2->bakedGroups(i);
-            EXPECT_TRUE(tensorsBitIdentical(forwardLayer(*v1, i, groups, 6),
-                                            forwardLayer(*v2, i, groups, 6)))
-                << simd::isaName(isa) << " layer " << i;
+    const auto v3 = io::openArtifact(v3_path);
+    ASSERT_EQ(v3->view().header().version, io::kMvqiVersion);
+    for (const char *name : kOldFixtures) {
+        const auto old = io::openArtifact(goldenPath(name));
+        for (simd::Isa isa :
+             {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Neon}) {
+            if (!simd::isaAvailable(isa))
+                continue;
+            ASSERT_TRUE(simd::setIsa(isa));
+            for (std::int64_t i = 0; i < 2; ++i) {
+                const std::int64_t groups = v3->bakedGroups(i);
+                EXPECT_TRUE(tensorsBitIdentical(
+                    forwardLayer(*old, i, groups, 6),
+                    forwardLayer(*v3, i, groups, 6)))
+                    << name << " " << simd::isaName(isa) << " layer " << i;
+            }
         }
     }
     simd::setIsa(saved);
-    std::remove(v2_path.c_str());
+    std::remove(v3_path.c_str());
 }
 
-TEST(MvqiGolden, V1FixtureUpgradesToTheV2Image)
+TEST(MvqiGolden, OldFixturesUpgradeToTheV3Fixture)
 {
-    // Re-encoding the v1 fixture's model (at its baked groups) writes the
-    // v2 image of the model it was built from, byte for byte — the
+    // Re-encoding an old fixture's model (at its baked groups) writes the
+    // v3 image of the model it was built from, byte for byte — the
     // one-step `mvqi convert` upgrade.
+    const std::vector<std::uint8_t> golden =
+        readBytes(goldenPath("golden_v3.mvqi"));
     const std::string out_path = tmpPath("mvq_golden_upgraded.mvqi");
-    io::saveArtifact(
-        io::openArtifact(goldenPath("golden_v1.mvqi"))->model(), out_path,
-        io::ArtifactFormat::Mvqi, goldenWriteOptions());
-    const std::vector<std::uint8_t> upgraded = readBytes(out_path);
-    const std::vector<std::uint8_t> image =
-        io::buildMvqiImage(makeGoldenModel(), goldenWriteOptions());
-    EXPECT_EQ(upgraded, image);
+    for (const char *name : kOldFixtures) {
+        io::saveArtifact(io::openArtifact(goldenPath(name))->model(),
+                         out_path, io::ArtifactFormat::Mvqi,
+                         goldenWriteOptions());
+        EXPECT_EQ(readBytes(out_path), golden) << name;
+    }
     std::remove(out_path.c_str());
 }
 
 TEST(MvqiGolden, SectionsSumToTheFileSize)
 {
-    // `mvqi info`'s split: every byte in exactly one section kind. Both
-    // versions hold the same codebooks, symbols, tiles and remainder; v1
-    // adds the full CSR copy and 48 more bytes per operand record.
-    const std::vector<std::uint8_t> v1 =
-        readBytes(goldenPath("golden_v1.mvqi"));
-    const std::vector<std::uint8_t> v2 =
-        readBytes(goldenPath("golden_v2.mvqi"));
-    const io::MvqiView view1(v1.data(),
-                             static_cast<std::int64_t>(v1.size()),
+    // `mvqi info`'s split: every byte in exactly one section kind, in
+    // every version.
+    std::vector<std::vector<std::uint8_t>> bytes;
+    std::vector<io::MvqiSectionBytes> s;
+    for (const char *name :
+         {"golden_v1.mvqi", "golden_v2.mvqi", "golden_v3.mvqi"}) {
+        bytes.push_back(readBytes(goldenPath(name)));
+        const io::MvqiView view(bytes.back().data(),
+                                static_cast<std::int64_t>(
+                                    bytes.back().size()),
+                                name);
+        s.push_back(io::mvqiSectionBytes(view));
+        EXPECT_EQ(s.back().total(), view.size()) << name;
+    }
+    const io::MvqiView view1(bytes[0].data(),
+                             static_cast<std::int64_t>(bytes[0].size()),
                              "golden_v1");
-    const io::MvqiView view2(v2.data(),
-                             static_cast<std::int64_t>(v2.size()),
-                             "golden_v2");
-    const io::MvqiSectionBytes s1 = io::mvqiSectionBytes(view1);
-    const io::MvqiSectionBytes s2 = io::mvqiSectionBytes(view2);
-    EXPECT_EQ(s1.total(), view1.size());
-    EXPECT_EQ(s2.total(), view2.size());
     // v1's copy: row_ptr (rows+1 x i64) plus an i32 column and an f32
-    // value per kept weight, for each operand.
-    std::int64_t full_csr = 0;
-    for (std::int64_t i = 0; i < view1.layerCount(); ++i)
-        for (std::int64_t g = 0; g < view1.layer(i).groups; ++g) {
-            const io::MvqiOperand op = view1.operand(i, g);
-            full_csr += (op.rows + 1) * 8
-                + (op.tile_vals.count + op.rem_values.count) * 8;
-        }
-    EXPECT_EQ(s1.full_csr, full_csr);
-    EXPECT_EQ(s2.full_csr, 0);
-    EXPECT_EQ(s1.codebooks, s2.codebooks);
-    EXPECT_EQ(s1.assignments, s2.assignments);
-    EXPECT_EQ(s1.mask_codes, s2.mask_codes);
-    EXPECT_EQ(s1.tiles, s2.tiles);
-    EXPECT_EQ(s1.remainder, s2.remainder);
-    EXPECT_GT(s2.remainder, 0);
-    // Three operand records (one + two groups), 176 vs 128 bytes each.
-    EXPECT_EQ(s1.records - s2.records, 3 * (176 - 128));
+    // value per kept weight, for each of the three operands (16 rows in
+    // one group, then 8 rows in each of two). v2 dropped it; v1 and v2
+    // agree on everything else but the 48 bytes per record the copy's
+    // fields took.
+    ASSERT_EQ(view1.layer(1).groups, 2);
+    std::int64_t kept = 0;
+    for (const CompressedLayer &cl : makeGoldenModel().layers)
+        kept += cl.ng() * cl.cfg.d * cl.cfg.pattern.n / cl.cfg.pattern.m;
+    EXPECT_EQ(s[0].full_csr, (17 + 9 + 9) * 8 + kept * 8);
+    EXPECT_EQ(s[1].full_csr, 0);
+    EXPECT_EQ(s[2].full_csr, 0);
+    EXPECT_EQ(s[0].tiles, s[1].tiles);
+    EXPECT_EQ(s[0].remainder, s[1].remainder);
+    EXPECT_EQ(s[0].records - s[1].records, 3 * (176 - 128));
+    // v3: the same codebooks, 16-bit symbols, 112-byte records, and one
+    // 4-byte word per kept weight instead of an 8-byte column + value.
+    for (const io::MvqiSectionBytes &old : {s[0], s[1]}) {
+        EXPECT_EQ(old.codebooks, s[2].codebooks);
+        EXPECT_EQ(old.assignments, 2 * s[2].assignments);
+        EXPECT_EQ(old.mask_codes, 2 * s[2].mask_codes);
+    }
+    EXPECT_EQ(s[1].records - s[2].records, 3 * (128 - 112));
+    EXPECT_GT(s[2].remainder, 0);
+    EXPECT_LT(s[2].remainder + s[2].tiles, s[1].remainder + s[1].tiles);
+    EXPECT_LT(s[2].padding, s[1].padding);
 }
 
 } // namespace

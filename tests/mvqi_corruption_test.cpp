@@ -4,12 +4,15 @@
  * stream must fail with a clear FatalError (or, for benign payload
  * flips, load correctly) — never undefined behaviour, never a crash,
  * never an escaped PanicError. The targeted cases pin one diagnostic each
- * (truncation, bad magic, wrong version, misaligned section, out-of-range
- * TOC, inconsistent counts, v1 records under a v2 header, a truncated v2
- * record table, semantically corrupt operands, assignments past their
- * codebook, subvector counts the kernel shape contradicts); the
- * deterministic byte-flip sweep, over both a v2 image and the frozen v1
- * fixture, is the fuzz-style pass the ASan/UBSan CI job runs over.
+ * (truncation, bad magic, wrong version, misaligned sections, out-of-range
+ * TOC, inconsistent counts, records of one version under another's
+ * header, a truncated v3 record table, packed entries whose column or
+ * codebook index is out of range or whose columns do not ascend, mask
+ * codes past C(M,N), assignments past their codebook, subvector counts
+ * the kernel shape contradicts); the deterministic byte-flip sweep, over
+ * a v3 image and the frozen v1 and v2 fixtures, is the fuzz-style pass
+ * the ASan/UBSan CI job runs over (mvqi_fuzz_test adds the
+ * structure-aware mutations).
  */
 
 #include <gtest/gtest.h>
@@ -48,34 +51,66 @@ v1Image()
     return readBytes(goldenPath("golden_v1.mvqi"));
 }
 
-void
-writeBytes(const std::vector<std::uint8_t> &bytes,
-           const char *path = kPath)
+/** The frozen v2 fixture: same model, 128-byte fp32 operand records. */
+std::vector<std::uint8_t>
+v2Image()
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
+    return readBytes(goldenPath("golden_v2.mvqi"));
 }
 
-/** Open + validate + borrow + forward — the full untrusted-input path —
- *  then one repack at a group count the image did not bake, which
- *  materializes the model from the file's assignments and mask codes. */
+/** Layer `i`'s TOC entry of an image. */
+io::MvqiLayer
+layerOf(const std::vector<std::uint8_t> &img, std::size_t i)
+{
+    io::MvqiHeader h;
+    std::memcpy(&h, img.data(), sizeof(h));
+    io::MvqiLayer L;
+    std::memcpy(&L, img.data() + h.layer_toc_off + i * sizeof(L),
+                sizeof(L));
+    return L;
+}
+
+/** Operand record `g` of layer `i` of a v3 image. */
+io::MvqiOperand
+operandOf(const std::vector<std::uint8_t> &img, std::size_t i,
+          std::size_t g = 0)
+{
+    const io::MvqiLayer L = layerOf(img, i);
+    io::MvqiOperand op;
+    std::memcpy(&op, img.data() + L.operands_off + g * sizeof(op),
+                sizeof(op));
+    return op;
+}
+
+/** Entry `e` of a v3 operand's remainder. */
+std::uint32_t
+entryAt(const std::vector<std::uint8_t> &img, const io::MvqiOperand &op,
+        std::int64_t e)
+{
+    std::uint32_t w;
+    std::memcpy(&w, img.data() + op.rem_entries.off + e * sizeof(w),
+                sizeof(w));
+    return w;
+}
+
+void
+setEntry(std::vector<std::uint8_t> &img, const io::MvqiOperand &op,
+         std::int64_t e, std::uint32_t w)
+{
+    std::memcpy(img.data() + op.rem_entries.off + e * sizeof(w), &w,
+                sizeof(w));
+}
+
+void
+writeBytes(const std::vector<std::uint8_t> &bytes, const char *path = kPath)
+{
+    core::writeBytes(bytes, path);
+}
+
 void
 loadAndUse(const char *path = kPath)
 {
-    const auto art = io::openArtifact(path);
-    for (std::int64_t i = 0; i < art->layerCount(); ++i) {
-        const io::SharedOperands ops = art->packedOperands(i);
-        const Shape ws = art->layerShape(i);
-        nn::CompressedConv2d conv(art->layerName(i), ws, ops, 1, 0);
-        Tensor x(Shape({1,
-                        ws.dim(1) * static_cast<std::int64_t>(ops->size()),
-                        5, 5}));
-        Rng rng(3);
-        x.fillNormal(rng, 0.0f, 1.0f);
-        conv.forward(x);
-    }
-    art->packedOperands(0, art->bakedGroups(0) == 1 ? 2 : 1);
+    core::loadAndUse(path);
 }
 
 /** Expect a FatalError whose message mentions `needle`. */
@@ -156,8 +191,8 @@ TEST_F(MvqiCorruptionTest, BadMagic)
 
 TEST_F(MvqiCorruptionTest, WrongVersion)
 {
-    // The versions just outside the readable range (0 and 3), and one far
-    // past it.
+    // The versions just outside the readable range (min - 1 and
+    // current + 1), and one far past it.
     for (const std::uint32_t v :
          {io::kMvqiMinVersion - 1, io::kMvqiVersion + 1,
           io::kMvqiVersion + 7}) {
@@ -184,7 +219,36 @@ TEST_F(MvqiCorruptionTest, V1RecordsUnderV2HeaderRejectedStructurally)
     expectFatal(kPath);
 }
 
-TEST_F(MvqiCorruptionTest, TruncatedV2RecordTableRejected)
+TEST_F(MvqiCorruptionTest, V3ImageUnderV2HeaderRejectedStructurally)
+{
+    // A v3 image relabelled as v2: its sections are aligned to their
+    // element size, not to the 64 bytes every v2 section starts on, and
+    // its records are 112 bytes, not 128.
+    std::vector<std::uint8_t> img = validImage();
+    const std::uint32_t v2 = 2;
+    std::memcpy(img.data() + 4, &v2, sizeof(v2));
+    EXPECT_THROW(io::MvqiView(img.data(),
+                              static_cast<std::int64_t>(img.size()),
+                              "relabelled v3"),
+                 FatalError);
+    writeBytes(img);
+    expectFatal(kPath);
+}
+
+TEST_F(MvqiCorruptionTest, V2RecordsUnderV3HeaderRejected)
+{
+    // The v2 fixture relabelled as v3: its 128-byte records read at the
+    // 112-byte stride, int32 columns read as packed entries and 32-bit
+    // symbols read as 16-bit ones. Whatever layer catches it, the result
+    // is a FatalError naming the file.
+    std::vector<std::uint8_t> img = v2Image();
+    const std::uint32_t v3 = 3;
+    std::memcpy(img.data() + 4, &v3, sizeof(v3));
+    writeBytes(img);
+    expectFatal(kPath);
+}
+
+TEST_F(MvqiCorruptionTest, TruncatedV3RecordTableRejected)
 {
     // The last layer's operand records are the image's final section: cut
     // the file inside them and make file_bytes agree, so only the record
@@ -192,11 +256,7 @@ TEST_F(MvqiCorruptionTest, TruncatedV2RecordTableRejected)
     std::vector<std::uint8_t> img = validImage();
     io::MvqiHeader h;
     std::memcpy(&h, img.data(), sizeof(h));
-    io::MvqiLayer last;
-    std::memcpy(&last,
-                img.data() + h.layer_toc_off
-                    + (h.n_layers - 1) * sizeof(io::MvqiLayer),
-                sizeof(last));
+    const io::MvqiLayer last = layerOf(img, h.n_layers - 1);
     ASSERT_EQ(last.operands_off + last.groups * sizeof(io::MvqiOperand),
               img.size());
     img.resize(img.size() - sizeof(io::MvqiOperand) / 2);
@@ -208,13 +268,27 @@ TEST_F(MvqiCorruptionTest, TruncatedV2RecordTableRejected)
 
 TEST_F(MvqiCorruptionTest, MisalignedSection)
 {
-    // Header offset 24 is codebook_toc_off; knock it off 64-byte
-    // alignment.
-    const auto img = validImage();
-    io::MvqiHeader h;
-    std::memcpy(&h, img.data(), sizeof(h));
-    patchU64(24, h.codebook_toc_off + 8);
-    expectFatal("misaligned");
+    // TOCs and codebooks keep the 64-byte rule: header offset 24 is
+    // codebook_toc_off; knock it off 64-byte alignment.
+    {
+        const auto img = validImage();
+        io::MvqiHeader h;
+        std::memcpy(&h, img.data(), sizeof(h));
+        patchU64(24, h.codebook_toc_off + 8);
+        expectFatal("misaligned codebook TOC");
+    }
+    // v3 operand arrays need only their element size: moving the 4-byte
+    // remainder entries by 2 bytes breaks that (a 4-byte shift, which
+    // v2's 64-byte rule rejected, is now a well-aligned offset).
+    {
+        std::vector<std::uint8_t> img = validImage();
+        const io::MvqiLayer L = layerOf(img, 0);
+        io::MvqiOperand op = operandOf(img, 0);
+        op.rem_entries.off += 2;
+        std::memcpy(img.data() + L.operands_off, &op, sizeof(op));
+        writeBytes(img);
+        expectFatal("misaligned remainder entries");
+    }
 }
 
 TEST_F(MvqiCorruptionTest, OutOfRangeToc)
@@ -231,30 +305,115 @@ TEST_F(MvqiCorruptionTest, HugeCountOverflowsSafely)
     expectFatal("extends past the end");
 }
 
+TEST_F(MvqiCorruptionTest, KernelShapeOverflowRejected)
+{
+    // Shape dims whose product overflows int64 (each is positive, so the
+    // per-dim check passes): consumers multiply them out, and the view
+    // must refuse the file before anyone does. Found by mvqi_fuzz_test
+    // (UBSan: signed overflow in CompressedConv2d's unrolled-K product).
+    std::vector<std::uint8_t> img = validImage();
+    io::MvqiHeader h;
+    std::memcpy(&h, img.data(), sizeof(h));
+    const std::int64_t huge = std::int64_t{1} << 40;
+    for (int j = 1; j < 4; ++j)
+        std::memcpy(img.data() + h.layer_toc_off
+                        + offsetof(io::MvqiLayer, shape) + 8 * j,
+                    &huge, sizeof(huge));
+    writeBytes(img);
+    expectFatal("kernel shape overflows");
+}
+
 TEST_F(MvqiCorruptionTest, FileSizeFieldMismatch)
 {
     patchU64(40, 123u);
     expectFatal("size mismatch");
 }
 
-TEST_F(MvqiCorruptionTest, SemanticOperandCorruption)
+TEST_F(MvqiCorruptionTest, PackedColumnPastColsRejected)
 {
-    // Flip a col_idx of layer 0's operand out of range: structural
-    // bounds still pass, so this must be caught by the O(nnz) semantic
-    // validation (validateGroupedOperand) and rewrapped as a FatalError
-    // naming the file — the line that keeps the kernels in bounds.
+    // Give one remainder entry of layer 0 a column past the operand's
+    // cols: structural bounds still pass, so this must be caught by the
+    // O(nnz) semantic validation (validateGroupedOperand) and rewrapped
+    // as a FatalError naming the file — the line that keeps the kernels
+    // in bounds.
     std::vector<std::uint8_t> img = validImage();
-    io::MvqiHeader h;
-    std::memcpy(&h, img.data(), sizeof(h));
-    io::MvqiLayer L;
-    std::memcpy(&L, img.data() + h.layer_toc_off, sizeof(L));
-    io::MvqiOperand op;
-    std::memcpy(&op, img.data() + L.operands_off, sizeof(op));
-    ASSERT_GT(op.rem_col_idx.count, 0);
-    const std::int32_t bogus = static_cast<std::int32_t>(op.cols) + 99;
-    std::memcpy(img.data() + op.rem_col_idx.off, &bogus, sizeof(bogus));
+    const io::MvqiOperand op = operandOf(img, 0);
+    ASSERT_GT(op.rem_entries.count, 0);
+    const std::int64_t last = op.rem_entries.count - 1;
+    setEntry(img, op, last,
+             packEntry(op.cols + 99, entryIndex(entryAt(img, op, last))));
     writeBytes(img);
     expectFatal("corrupt MVQI operand");
+    expectFatal("out of range [0, " + std::to_string(op.cols) + ")");
+}
+
+TEST_F(MvqiCorruptionTest, TableIndexPastCodebookRejected)
+{
+    // An entry whose codebook index is k*d (one past layer 0's 16 x 16
+    // codebook): the kernels would read past the codebook section.
+    std::vector<std::uint8_t> img = validImage();
+    const io::MvqiOperand op = operandOf(img, 0);
+    ASSERT_GT(op.rem_entries.count, 0);
+    setEntry(img, op, 0, packEntry(entryColumn(entryAt(img, op, 0)), 256));
+    writeBytes(img);
+    expectFatal("table index 256");
+}
+
+TEST_F(MvqiCorruptionTest, TileIndexPastCodebookRejected)
+{
+    // The same for a tile entry, wherever the image has a tile.
+    std::vector<std::uint8_t> img = validImage();
+    const io::MvqiLayer L = layerOf(img, 1);
+    for (std::int32_t g = 0; g < L.groups; ++g) {
+        const io::MvqiOperand op = operandOf(img, 1, g);
+        if (op.tile_idx.count == 0)
+            continue;
+        const std::uint16_t bogus = 0xFFFF;
+        std::memcpy(img.data() + op.tile_idx.off, &bogus, sizeof(bogus));
+        writeBytes(img);
+        expectFatal("tile table index 65535");
+        return;
+    }
+    GTEST_SKIP() << "the golden image has no multi-row tiles";
+}
+
+TEST_F(MvqiCorruptionTest, ColumnsNotAscendingRejected)
+{
+    // Swap two adjacent entries of one remainder row: every column and
+    // index stays in range, but the driver's binary search over a row's
+    // columns needs them strictly ascending.
+    std::vector<std::uint8_t> img = validImage();
+    const io::MvqiOperand op = operandOf(img, 0);
+    std::vector<std::int64_t> row_ptr(
+        static_cast<std::size_t>(op.rem_row_ptr.count));
+    std::memcpy(row_ptr.data(), img.data() + op.rem_row_ptr.off,
+                row_ptr.size() * sizeof(std::int64_t));
+    std::size_t r = 0;
+    while (r + 1 < row_ptr.size() && row_ptr[r + 1] - row_ptr[r] < 2)
+        ++r;
+    ASSERT_LT(r + 1, row_ptr.size()) << "no row holds two entries";
+    const std::int64_t e = row_ptr[r];
+    const std::uint32_t a = entryAt(img, op, e);
+    const std::uint32_t b = entryAt(img, op, e + 1);
+    setEntry(img, op, e, b);
+    setEntry(img, op, e + 1, a);
+    writeBytes(img);
+    expectFatal("columns not strictly ascending");
+}
+
+TEST_F(MvqiCorruptionTest, MaskCodeOutOfRangeRejected)
+{
+    // Layer 0 is 4:16, whose C(16,4) = 1820 masks are ranks 0..1819. The
+    // baked operands never read mask codes, so 1820 surfaces when a
+    // repack materializes the model — as a FatalError, before the mask
+    // LUT is indexed.
+    std::vector<std::uint8_t> img = validImage();
+    const io::MvqiLayer L = layerOf(img, 0);
+    const std::uint16_t bogus = 1820;
+    std::memcpy(img.data() + L.mask_codes.off + 2 * sizeof(bogus), &bogus,
+                sizeof(bogus));
+    writeBytes(img);
+    expectFatal("mask code 2 = 1820 is out of range for 4:16");
 }
 
 TEST_F(MvqiCorruptionTest, OpenFaultSiteFailsCleanlyOnValidImage)
@@ -304,11 +463,8 @@ TEST_F(MvqiCorruptionTest, ImageAssignmentFlipRejectedOnRepack)
     // assignment word is invisible until a non-baked group count
     // materializes the model and repacks from it.
     std::vector<std::uint8_t> img = validImage();
-    io::MvqiHeader h;
-    std::memcpy(&h, img.data(), sizeof(h));
-    io::MvqiLayer L;
-    std::memcpy(&L, img.data() + h.layer_toc_off, sizeof(L));
-    img[L.assignments.off + 3 * sizeof(std::int32_t) + 2] ^= 0xA5u;
+    const io::MvqiLayer L = layerOf(img, 0);
+    img[L.assignments.off + 3 * sizeof(std::uint16_t) + 1] ^= 0xA5u;
     writeBytes(img);
     expectFatal("out of range for its 16-entry codebook");
 }
@@ -339,13 +495,14 @@ TEST_F(MvqiCorruptionTest, TruncatedThenMmapThroughFaultSite)
 TEST_F(MvqiCorruptionTest, DeterministicByteFlipSweep)
 {
     // Fuzz-style negative corpus: XOR one byte at a stride of positions
-    // across the whole image, for the v2 image the writer emits and for
-    // the frozen v1 fixture (whose full-CSR sections the reader must
-    // bound but never read). Every mutant must either load + forward
-    // cleanly (flips in float payloads, names, padding or the unread v1
-    // copy are benign) or fail with FatalError. Anything else — crash,
+    // across the whole image, for the v3 image the writer emits and for
+    // the frozen v1 and v2 fixtures (whose operand records the reader
+    // must bound but never read). Every mutant must either load + forward
+    // cleanly (flips in float payloads, names, padding or the unread old
+    // records are benign) or fail with FatalError. Anything else — crash,
     // PanicError, UB under the sanitizer job — is a firewall bug.
-    for (const std::vector<std::uint8_t> &img : {validImage(), v1Image()}) {
+    for (const std::vector<std::uint8_t> &img :
+         {validImage(), v1Image(), v2Image()}) {
         ASSERT_FALSE(img.empty());
         std::size_t loaded = 0;
         std::size_t rejected = 0;

@@ -4,7 +4,8 @@
  * compressed model for the golden fixture (no float *computation* — every
  * stored value is an exact binary fraction derived from integers, so the
  * emitted image is identical across compilers and -ffp-contract choices),
- * the write options the golden images bake, and fixture file access.
+ * the write options the golden images bake, fixture file access, and the
+ * full untrusted-input path the corruption and fuzz tests drive.
  */
 
 #ifndef MVQ_TESTS_MVQI_TEST_UTIL_HPP
@@ -18,10 +19,13 @@
 #include <string>
 #include <vector>
 
+#include "common/random.hpp"
 #include "core/compressed_layer.hpp"
+#include "core/io/model_artifact.hpp"
 #include "core/io/mvqi_format.hpp"
 #include "core/mask_codec.hpp"
 #include "core/nm_pruning.hpp"
+#include "nn/compressed_conv2d.hpp"
 
 #ifndef MVQ_SOURCE_DIR
 #define MVQ_SOURCE_DIR "."
@@ -134,6 +138,40 @@ readBytes(const std::string &path)
     EXPECT_TRUE(in.good()) << "missing file " << path;
     return {std::istreambuf_iterator<char>(in),
             std::istreambuf_iterator<char>()};
+}
+
+/** Write `bytes` to `path`, replacing it. */
+inline void
+writeBytes(const std::vector<std::uint8_t> &bytes, const std::string &path)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+/**
+ * Open + validate + borrow + forward every layer — the full
+ * untrusted-input path — then one repack at a group count the image did
+ * not bake, which materializes the model from the file's assignments and
+ * mask codes. Corrupt input must surface as FatalError.
+ */
+inline void
+loadAndUse(const std::string &path)
+{
+    const auto art = io::openArtifact(path);
+    for (std::int64_t i = 0; i < art->layerCount(); ++i) {
+        const io::SharedOperands ops = art->packedOperands(i);
+        const Shape ws = art->layerShape(i);
+        nn::CompressedConv2d conv(art->layerName(i), ws, ops, 1, 0);
+        Tensor x(Shape({1,
+                        ws.dim(1) * static_cast<std::int64_t>(ops->size()),
+                        5, 5}));
+        Rng rng(3);
+        x.fillNormal(rng, 0.0f, 1.0f);
+        conv.forward(x);
+    }
+    if (art->layerCount() > 0)
+        art->packedOperands(0, art->bakedGroups(0) == 1 ? 2 : 1);
 }
 
 } // namespace mvq::core

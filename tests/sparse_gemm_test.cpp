@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "clustered_fixture.hpp"
@@ -82,10 +83,9 @@ TEST(SparseGemm, SparsifyRowsKeepsExactNonzeros)
     for (std::int64_t i = 0; i < sp.rows; ++i) {
         for (std::int64_t e = sp.row_ptr[static_cast<std::size_t>(i)];
              e < sp.row_ptr[static_cast<std::size_t>(i + 1)]; ++e) {
-            const std::size_t se = static_cast<std::size_t>(e);
-            EXPECT_EQ(a.at(i, sp.col_idx[se]), sp.values[se]);
+            EXPECT_EQ(a.at(i, sp.column(e)), sp.value(e));
             if (e > sp.row_ptr[static_cast<std::size_t>(i)]) {
-                EXPECT_LT(sp.col_idx[se - 1], sp.col_idx[se]);
+                EXPECT_LT(sp.column(e - 1), sp.column(e));
             }
         }
     }
@@ -184,25 +184,82 @@ TEST(SparseGemm, EmptyRowsProduceZeroRows)
     }
 }
 
+TEST(SparseGemm, SparsifyRowsTableHoldsDistinctValues)
+{
+    // Repeated values share one table slot (first appearance order); the
+    // entries still decode to the exact matrix.
+    Tensor a(Shape({2, 4}));
+    const float v[] = {0.5f, 0.0f, -2.0f, 0.5f, -2.0f, 3.0f, 0.0f, 0.5f};
+    std::copy(v, v + 8, a.data());
+    const SparseRowMatrix sp = sparsifyRows(a);
+    EXPECT_EQ(sp.nnz(), 6);
+    ASSERT_EQ(sp.values.size(), 3u);
+    EXPECT_EQ(sp.values[0], 0.5f);
+    EXPECT_EQ(sp.values[1], -2.0f);
+    EXPECT_EQ(sp.values[2], 3.0f);
+    EXPECT_EQ(sp.col_idx[4], packEntry(1, 2)); // 3.0f at (1, 1)
+    for (std::int64_t i = 0; i < 2; ++i)
+        for (std::int64_t e = sp.row_ptr[static_cast<std::size_t>(i)];
+             e < sp.row_ptr[static_cast<std::size_t>(i + 1)]; ++e)
+            EXPECT_EQ(a.at(i, sp.column(e)), sp.value(e));
+}
+
+/// Runs sparsifyRows on `a` and expects a PanicError whose message holds
+/// `needle`, so each case pins the check that rejects it.
+void
+expectSparsifyPanic(const Tensor &a, const std::string &needle)
+{
+    try {
+        (void)sparsifyRows(a);
+        ADD_FAILURE() << "no panic; expected one naming \"" << needle << "\"";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << "got: " << e.what();
+    }
+}
+
+TEST(SparseGemm, SparsifyRowsPanicsPastThePackedLimits)
+{
+    // 2^16 + 2 distinct values in fewer than 2^16 columns: only the
+    // 16-bit table index is exceeded.
+    const std::int64_t half = kMaxValueTable / 2 + 1;
+    ASSERT_LT(half, kMaxSparseCols);
+    Tensor many(Shape({2, half}));
+    for (std::int64_t j = 0; j < many.numel(); ++j)
+        many[j] = static_cast<float>(j + 1);
+    expectSparsifyPanic(many, "distinct kept values");
+    // Columns past 2^16 do not fit the 16-bit column field.
+    Tensor wider(Shape({1, kMaxSparseCols + 1}));
+    expectSparsifyPanic(wider, "columns exceed the packed-entry limit");
+}
+
 TEST(SparseGemm, MalformedOperandPanics)
 {
-    // The driver binary-searches col_idx and the micro-kernels index
-    // packed B rows with it, so a malformed operand must panic up front
-    // instead of reading out of bounds.
+    // The driver binary-searches each row's columns, the micro-kernels
+    // index packed B rows with them and decode values through the table,
+    // so a malformed operand must panic up front instead of reading out
+    // of bounds.
     SparseRowMatrix sp;
     sp.rows = 2;
     sp.cols = 8;
     sp.row_ptr = {0, 2, 3};
-    sp.col_idx = {3, 1, 0}; // not ascending within row 0
+    // Not ascending within row 0.
+    sp.col_idx = {packEntry(3, 0), packEntry(1, 1), packEntry(0, 2)};
     sp.values = {1.0f, 2.0f, 3.0f};
     Tensor b(Shape({8, 4}));
     Tensor c(Shape({2, 4}));
     EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
 
-    sp.col_idx = {1, 9, 0}; // column 9 out of range [0, 8)
+    // Column 9 out of range [0, 8).
+    sp.col_idx = {packEntry(1, 0), packEntry(9, 1), packEntry(0, 2)};
     EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
 
-    sp.col_idx = {1, 3, 0};
+    // Table index 3 out of range [0, 3).
+    sp.col_idx = {packEntry(1, 0), packEntry(3, 3), packEntry(0, 2)};
+    EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
+
+    sp.col_idx = {packEntry(1, 0), packEntry(3, 1), packEntry(0, 2)};
+    EXPECT_NO_THROW(gemmSparseA(sp, b, c));
     sp.row_ptr = {0, 3, 2}; // non-monotone row_ptr
     EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
 }
@@ -249,8 +306,7 @@ TEST(SparseGemm, PackSparseRowsMatchesReconstruct)
     for (std::int64_t i = 0; i < sp.rows; ++i) {
         for (std::int64_t e = sp.row_ptr[static_cast<std::size_t>(i)];
              e < sp.row_ptr[static_cast<std::size_t>(i + 1)]; ++e) {
-            const std::size_t se = static_cast<std::size_t>(e);
-            dense.at(i, sp.col_idx[se]) = sp.values[se];
+            dense.at(i, sp.column(e)) = sp.value(e);
         }
     }
     EXPECT_FLOAT_EQ(

@@ -99,41 +99,38 @@ smallTiledMatrix()
 }
 constexpr std::int64_t kSmallTiledN = 8;
 
-/** Tiles + remainder merged back into one CSR, columns ascending per row:
- *  what a grouped operand must hold, entry for entry. */
+/** Tiles + remainder merged back into one CSR over the operand's table,
+ *  entries ascending per row: what a grouped operand must hold, entry
+ *  for entry. */
 SparseRowMatrix
 mergedRows(const GroupedSparseMatrix &g)
 {
-    std::vector<std::vector<std::pair<std::int32_t, float>>> rows(
+    std::vector<std::vector<std::uint32_t>> rows(
         static_cast<std::size_t>(g.rows.rows));
     const SparseRowMatrix &rem = g.remainder;
     for (std::int64_t r = 0; r < rem.rows; ++r)
         for (std::int64_t e = rem.row_ptr[static_cast<std::size_t>(r)];
              e < rem.row_ptr[static_cast<std::size_t>(r + 1)]; ++e)
-            rows[static_cast<std::size_t>(r)].emplace_back(
-                rem.col_idx[static_cast<std::size_t>(e)],
-                rem.values[static_cast<std::size_t>(e)]);
+            rows[static_cast<std::size_t>(r)].push_back(
+                rem.col_idx[static_cast<std::size_t>(e)]);
     for (const GroupedSparseMatrix::Tile &t : g.tiles)
         for (std::int32_t r = 0; r < t.nrows; ++r)
             for (std::int64_t q = 0; q < t.ncols; ++q)
-                rows[static_cast<std::size_t>(t.row[r])].emplace_back(
-                    g.cols[static_cast<std::size_t>(t.col_off + q)],
-                    g.vals[static_cast<std::size_t>(t.val_off
-                                                    + r * t.ncols + q)]);
+                rows[static_cast<std::size_t>(t.row[r])].push_back(
+                    packEntry(g.cols[static_cast<std::size_t>(t.col_off + q)],
+                              g.vals[static_cast<std::size_t>(
+                                  t.val_off + r * t.ncols + q)]));
     SparseRowMatrix sp;
     sp.rows = g.rows.rows;
     sp.cols = g.rows.cols;
+    sp.values = g.table();
     sp.row_ptr.push_back(0);
     for (auto &row : rows) {
-        std::sort(row.begin(), row.end(),
-                  [](const auto &x, const auto &y) {
-                      return x.first < y.first;
-                  });
-        for (const auto &[col, val] : row) {
-            sp.col_idx.push_back(col);
-            sp.values.push_back(val);
-        }
-        sp.row_ptr.push_back(static_cast<std::int64_t>(sp.values.size()));
+        // The column is the word's high half: word order is column order.
+        std::sort(row.begin(), row.end());
+        for (const std::uint32_t w : row)
+            sp.col_idx.push_back(w);
+        sp.row_ptr.push_back(sp.nnz());
     }
     return sp;
 }
@@ -242,8 +239,13 @@ TEST(SparseMultiRow, MicroKernelMatchesScalarTableAllIsas)
     const std::int64_t ncols = 24;
     const std::int64_t kmax = 96;
     Rng rng(23);
-    Tensor vals(Shape({simd::kSparseMultiRowMr, ncols}));
-    vals.fillNormal(rng, 0.0f, 1.0f);
+    Tensor table(Shape({simd::kSparseMultiRowMr, ncols}));
+    table.fillNormal(rng, 0.0f, 1.0f);
+    // Tile entries index the table in a scrambled order (7 is coprime
+    // with the 96 table slots).
+    std::vector<std::uint16_t> vidx;
+    for (std::int64_t i = 0; i < table.numel(); ++i)
+        vidx.push_back(static_cast<std::uint16_t>((i * 7) % table.numel()));
     std::vector<std::int32_t> kidx;
     for (std::int64_t q = 0; q < ncols; ++q)
         kidx.push_back(static_cast<std::int32_t>(q * 4 + (q % 3)));
@@ -265,12 +267,12 @@ TEST(SparseMultiRow, MicroKernelMatchesScalarTableAllIsas)
                 static_cast<std::size_t>(mrows * nr), 0.5f);
             std::vector<float> want(
                 static_cast<std::size_t>(mrows * nr), -2.0f);
-            kn.gemmSparseMultiRowMicroKernel(vals.data(), ncols, mrows,
-                                             kidx.data(), ncols, 0,
-                                             bp.data(), nr, acc.data());
+            kn.gemmSparseMultiRowMicroKernel(
+                table.data(), vidx.data(), ncols, mrows, kidx.data(), ncols,
+                0, bp.data(), nr, acc.data());
             simd::scalarKernels().gemmSparseMultiRowMicroKernel(
-                vals.data(), ncols, mrows, kidx.data(), ncols, 0,
-                bp.data(), nr, want.data());
+                table.data(), vidx.data(), ncols, mrows, kidx.data(), ncols,
+                0, bp.data(), nr, want.data());
             for (std::size_t i = 0; i < acc.size(); ++i) {
                 const float denom = std::max(1.0f, std::fabs(want[i]));
                 ASSERT_LE(std::fabs(want[i] - acc[i]) / denom, 1e-4f)
@@ -464,6 +466,11 @@ TEST(SparseMultiRow, MalformedGroupedOperandPanics)
 
     g = groupSparseRows(sparsifyRows(a), 16);
     g.validated = false;
+    g.vals[0] = static_cast<std::uint16_t>(g.table().size()); // past table
+    EXPECT_THROW(gemmSparseA(g, b, c), PanicError);
+
+    g = groupSparseRows(sparsifyRows(a), 16);
+    g.validated = false;
     g.band_ptr.back() -= 1; // bands no longer cover every tile
     EXPECT_THROW(gemmSparseA(g, b, c), PanicError);
 }
@@ -484,12 +491,19 @@ TEST(SparseMultiRow, PackGroupedRowsMatchesPackSparseRows)
     const SparseRowMatrix merged = mergedRows(grouped[0]);
     EXPECT_EQ(merged.row_ptr, full.row_ptr);
     EXPECT_EQ(merged.col_idx, full.col_idx);
+    // The value table is the codebook itself (index = assignment*d+lane).
     EXPECT_EQ(merged.values, full.values);
+    ASSERT_EQ(static_cast<std::int64_t>(full.values.size()),
+              f.cb.codewords.numel());
+    EXPECT_EQ(0, std::memcmp(full.values.data(), f.cb.codewords.data(),
+                             full.values.size() * sizeof(float)));
 
     // Two conv groups: each grouped operand must hold exactly its row
     // range of the full pack, with no re-slicing drift.
     const auto halves = f.layer.packGroupedRows(f.cb, 2);
     ASSERT_EQ(halves.size(), 2u);
+    // One table serves every group of the pack.
+    EXPECT_EQ(halves[0].table().data(), halves[1].table().data());
     std::int64_t total = 0;
     for (std::size_t h = 0; h < halves.size(); ++h) {
         EXPECT_EQ(halves[h].rows.rows, 16);
@@ -504,7 +518,7 @@ TEST(SparseMultiRow, PackGroupedRowsMatchesPackSparseRows)
             const std::size_t se = static_cast<std::size_t>(e);
             const std::size_t fe = static_cast<std::size_t>(e0 + e);
             EXPECT_EQ(part.col_idx[se], full.col_idx[fe]);
-            EXPECT_EQ(part.values[se], full.values[fe]);
+            EXPECT_EQ(part.value(e), full.value(e0 + e));
         }
     }
     EXPECT_EQ(total, full.nnz());
