@@ -6,8 +6,7 @@
  *                                        format; layer + codebook table,
  *                                        MVQI version, bytes per section)
  *   mvqi convert <in> <out> [options]    re-encode between the bit-packed
- *                                        stream and the MVQI image; an
- *                                        MVQI v1/v2 input upgrades to v3
+ *                                        stream and the MVQI image
  *   mvqi verify <file>                   load + fully validate every
  *                                        layer's packed operands
  *
@@ -18,8 +17,12 @@
  *   --layer-groups name=N     per-layer override (repeatable)
  *   (neither given: each layer keeps the groups its input baked)
  *
- * Exit status: 0 on success, 1 on usage errors, and FatalError aborts
- * (corrupt input) surface the loader's message on stderr.
+ * An image of another MVQI version than this build writes is rejected;
+ * rebuild it from its stream with `mvqi convert model.mvq model.mvqi`.
+ *
+ * Exit status: 0 on success, 1 on a usage error, 2 on a FatalError
+ * (unreadable or corrupt input, an unknown --layer-groups name), whose
+ * message goes to stderr.
  */
 
 #include <cstdlib>
@@ -75,8 +78,6 @@ describeSections(const MvqiView &v)
     row("mask codes", s.mask_codes);
     row("tiles+pools", s.tiles);
     row("remainder CSR", s.remainder);
-    if (v.header().version == 1)
-        row("full CSR (v1 only, unread)", s.full_csr);
     row("TOCs/records", s.records);
     row("padding", s.padding);
     std::cout << "    total: " << s.total() << " B\n";
@@ -155,9 +156,7 @@ cmdConvert(int argc, char **argv)
 
     const auto art = openArtifact(in);
     if (!groups_set) {
-        // An image re-encoded as-is keeps its baked conv groups, so a
-        // v1/v2 image upgrades to the v3 image of the same model in one
-        // step.
+        // An image re-encoded as-is keeps its baked conv groups.
         for (std::int64_t i = 0; i < art->layerCount(); ++i)
             opts.layer_groups[art->layerName(i)] = art->bakedGroups(i);
     }

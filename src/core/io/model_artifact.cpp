@@ -106,16 +106,12 @@ borrowOperand(const MvqiView &v, const MvqiOperand &op,
     return g;
 }
 
-/** Widen an image's stored symbols (16-bit in v3, 32-bit before). */
+/** Widen an image's stored 16-bit symbols. */
 template <typename T>
 std::vector<T>
 readSymbols(const MvqiView &v, const MvqiArray &a)
 {
-    if (v.symbolBytes() == 2) {
-        const std::uint16_t *p = v.array<std::uint16_t>(a);
-        return std::vector<T>(p, p + a.count);
-    }
-    const T *p = v.array<T>(a);
+    const std::uint16_t *p = v.array<std::uint16_t>(a);
     return std::vector<T>(p, p + a.count);
 }
 
@@ -140,11 +136,6 @@ ModelArtifact::ModelArtifact(Opened opened)
       view_(map_->data(), map_->size(), map_->path()),
       model_(std::move(opened.model))
 {
-    if (view_.layerCount() > 0 && !view_.bakedOperandsServable())
-        warn(map_->path(), ": MVQI v", view_.header().version,
-             " image; every layer is repacked at first use instead of "
-             "borrowed zero-copy (`mvqi convert` upgrades it to v",
-             kMvqiVersion, ")");
 }
 
 std::int64_t
@@ -246,7 +237,7 @@ ModelArtifact::packedOperands(std::int64_t i, std::int64_t groups) const
         return it->second;
 
     SharedOperands shared;
-    if (g == baked && view_.bakedOperandsServable()) {
+    if (g == baked) {
         // Zero-copy path: borrow every operand array from the image, then
         // run the O(nnz) semantic validation — the line between a corrupt
         // image failing loudly and the kernels reading out of bounds.
@@ -274,10 +265,8 @@ ModelArtifact::packedOperands(std::int64_t i, std::int64_t groups) const
         }
         shared = SharedOperands(holder, &holder->ops);
     } else {
-        // Group-count mismatch, or a v1/v2 image whose fp32 operand
-        // records are not the v3 layout: correct but not zero-copy.
-        // Bake the right groups (or `mvqi convert` the image) to stay on
-        // the borrowed path.
+        // Group-count mismatch: correct but not zero-copy. Bake the right
+        // groups to stay on the borrowed path.
         const CompressedModel &m = modelLocked();
         const CompressedLayer &cl = m.layers[static_cast<std::size_t>(i)];
         shared = std::make_shared<const std::vector<GroupedSparseMatrix>>(

@@ -9,7 +9,8 @@
  *
  *  - a `.mvqi` file is mmap'ed (or read into the 64-byte-aligned heap
  *    fallback under MVQ_MVQI_NO_MMAP=1) — no bit-stream decode and no
- *    packGroupedRows on the load path;
+ *    packGroupedRows on the load path. Only kMvqiVersion is read; an
+ *    image of any other version is rejected and rebuilt from its `.mvq`;
  *  - a `.mvq` bit-packed stream (core/serialize) is the archival format:
  *    opening one decodes it (deserializeModel) and converts it in memory
  *    with buildMvqiImage (conv groups = 1) into the same aligned heap
@@ -98,14 +99,13 @@ class ModelArtifact
      * (layer, groups), so N conv instances built from one artifact share
      * one operand set.
      *
-     * The baked group count of a v3 image is served as borrowed views
-     * over the image (zero-copy, the layer's codebook section as every
-     * operand's value table; the returned handle keeps the image alive)
-     * after the O(nnz) validateGroupedOperand check. Any other count —
-     * and every layer of a v1/v2 image — falls back to materializing +
-     * repacking, which is correct but defeats the zero-copy point: bake
-     * the right groups at write time (MvqiWriteOptions::layer_groups) and
-     * upgrade old images with `mvqi convert`.
+     * The baked group count is served as borrowed views over the image
+     * (zero-copy, the layer's codebook section as every operand's value
+     * table; the returned handle keeps the image alive) after the O(nnz)
+     * validateGroupedOperand check. Any other count falls back to
+     * materializing + repacking, which is correct but defeats the
+     * zero-copy point: bake the right groups at write time
+     * (MvqiWriteOptions::layer_groups).
      */
     SharedOperands packedOperands(std::int64_t i,
                                   std::int64_t groups = 0) const;

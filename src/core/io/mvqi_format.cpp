@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <type_traits>
 
@@ -45,34 +44,6 @@ readRecord(const std::uint8_t *p)
     std::memcpy(&rec, p, sizeof(T));
     return rec;
 }
-
-/** What one section of a v1/v2 operand record holds. */
-struct LegacySection
-{
-    std::int64_t elem_bytes;
-    const char *name;
-    bool full_csr; //!< v1's full-CSR copy (else tile or remainder)
-    bool remainder;
-};
-
-/**
- * The MvqiArray fields of a v1 record in order (a v2 record is the last
- * seven): what validation bounds and `mvqi info` sizes. Their contents
- * are never read.
- */
-constexpr LegacySection kLegacySections[] = {
-    {8, "row_ptr", true, false},
-    {4, "col_idx", true, false},
-    {4, "values", true, false},
-    {static_cast<std::int64_t>(sizeof(Tile)), "tiles", false, false},
-    {4, "tile cols", false, false},
-    {4, "tile vals", false, false},
-    {8, "band_ptr", false, false},
-    {8, "remainder row_ptr", false, true},
-    {4, "remainder col_idx", false, true},
-    {4, "remainder values", false, true},
-};
-constexpr std::size_t kV2FirstSection = 3;
 
 /**
  * Append-only image buffer. Every section lands on a boundary of its own
@@ -226,6 +197,15 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
     // with checkMaskCodeLimit and packGroupedRows' k*d limit, what makes
     // the 16-bit narrowing lossless.
     model.validate("MVQI writer");
+    // A misspelt name would silently bake the default groups, and the
+    // served conv would repack at first use instead of borrowing.
+    for (const auto &entry : opts.layer_groups)
+        fatalIf(std::none_of(model.layers.begin(), model.layers.end(),
+                             [&](const CompressedLayer &cl) {
+                                 return cl.name == entry.first;
+                             }),
+                "conv groups given for layer '", entry.first,
+                "', which the model does not have");
 
     ImageBuilder b;
     b.reserve(sizeof(MvqiHeader));
@@ -466,34 +446,9 @@ MvqiView::layer(std::int64_t i) const
         data_ + header().layer_toc_off)[i];
 }
 
-std::int64_t
-MvqiView::operandRecordBytes() const
-{
-    if (bakedOperandsServable())
-        return static_cast<std::int64_t>(sizeof(MvqiOperand));
-    // rows, cols, then the record's MvqiArray fields.
-    const std::size_t first = header().version == 1 ? 0 : kV2FirstSection;
-    return static_cast<std::int64_t>(
-        16 + (std::size(kLegacySections) - first) * sizeof(MvqiArray));
-}
-
-bool
-MvqiView::bakedOperandsServable() const
-{
-    return header().version == kMvqiVersion;
-}
-
-std::int64_t
-MvqiView::symbolBytes() const
-{
-    return header().version >= 3 ? 2 : 4;
-}
-
 MvqiOperand
 MvqiView::operand(std::int64_t layer_idx, std::int64_t group) const
 {
-    panicIf(!bakedOperandsServable(), "MVQI v", header().version,
-            " operand records are not served");
     const MvqiLayer &L = layer(layer_idx);
     panicIf(group < 0 || group >= L.groups, "operand group ", group,
             " out of range [0, ", L.groups, ")");
@@ -501,48 +456,12 @@ MvqiView::operand(std::int64_t layer_idx, std::int64_t group) const
                                    + group * sizeof(MvqiOperand));
 }
 
-namespace {
-
-/** Operand record `g` of a v1/v2 layer: rows, cols and the record's
- *  arrays (the kLegacySections it holds, in order). */
-struct LegacyRecord
-{
-    std::int64_t rows = 0;
-    std::int64_t cols = 0;
-    std::size_t first = 0; //!< index of arrays[0] in kLegacySections
-    std::vector<MvqiArray> arrays;
-
-    const LegacySection &
-    section(std::size_t i) const
-    {
-        return kLegacySections[first + i];
-    }
-};
-
-LegacyRecord
-legacyRecord(const MvqiView &v, const MvqiLayer &L, std::int64_t g)
-{
-    LegacyRecord rec;
-    rec.first = v.header().version == 1 ? 0 : kV2FirstSection;
-    const std::uint8_t *p =
-        v.data() + L.operands_off + g * v.operandRecordBytes();
-    std::memcpy(&rec.rows, p, sizeof(rec.rows));
-    std::memcpy(&rec.cols, p + 8, sizeof(rec.cols));
-    const std::size_t n = std::size(kLegacySections) - rec.first;
-    rec.arrays.resize(n);
-    std::memcpy(rec.arrays.data(), p + 16, n * sizeof(MvqiArray));
-    return rec;
-}
-
-} // namespace
-
 void
 MvqiView::checkArray(const MvqiArray &a, std::int64_t elem_bytes,
                      const char *name, std::int64_t align) const
 {
     if (align == 0)
-        align = bakedOperandsServable() ? std::min<std::int64_t>(elem_bytes, 8)
-                                        : kMvqiAlign;
+        align = std::min<std::int64_t>(elem_bytes, 8);
     fatalIf(a.off % static_cast<std::uint64_t>(align) != 0, what_,
             ": misaligned ", name, " section (offset ", a.off, " is not ",
             align, "-byte aligned)");
@@ -572,10 +491,10 @@ MvqiView::validate()
     const MvqiHeader &h = header();
     fatalIf(h.magic != kMvqiMagic, what_, ": bad magic 0x", std::hex,
             h.magic, std::dec, " (not an MVQI image)");
-    fatalIf(h.version < kMvqiMinVersion || h.version > kMvqiVersion, what_,
-            ": unsupported MVQI version ", h.version,
-            " (this build reads versions ", kMvqiMinVersion, " to ",
-            kMvqiVersion, ")");
+    fatalIf(h.version != kMvqiVersion, what_, ": unsupported MVQI version ",
+            h.version, " (this build reads version ", kMvqiVersion,
+            " only; rebuild the image from its stream with "
+            "`mvqi convert model.mvq model.mvqi`)");
     fatalIf(h.header_bytes != sizeof(MvqiHeader), what_,
             ": header size mismatch (", h.header_bytes, " vs ",
             sizeof(MvqiHeader), ")");
@@ -602,7 +521,6 @@ MvqiView::validate()
                    "codewords", kMvqiAlign);
     }
 
-    const bool v3 = bakedOperandsServable();
     for (std::int64_t i = 0; i < layerCount(); ++i) {
         const MvqiLayer &L = layer(i);
         fatalIf(L.name[kMvqiNameBytes - 1] != '\0', what_, ": layer ", i,
@@ -637,63 +555,44 @@ MvqiView::validate()
                 i, " has invalid conv groups ", L.groups);
         fatalIf(L.ng < 0, what_, ": layer ", i, " has negative ng");
 
-        checkArray(L.assignments, symbolBytes(), "assignments");
+        checkArray(L.assignments, sizeof(std::uint16_t), "assignments");
         fatalIf(L.assignments.count != L.ng, what_, ": layer ", i,
                 " assignments count ", L.assignments.count,
                 " does not match ng ", L.ng);
-        checkArray(L.mask_codes, symbolBytes(), "mask codes");
-        fatalIf(L.mask_codes.count != L.ng * (L.d / L.m), what_,
-                ": layer ", i, " mask-code count ", L.mask_codes.count,
-                " does not match ng*d/M = ", L.ng * (L.d / L.m));
+        checkArray(L.mask_codes, sizeof(std::uint16_t), "mask codes");
+        // count == ng * d/M, tested by division: a corrupt d can make
+        // the product overflow.
+        const std::int64_t codes_per_sub = L.d / L.m;
+        fatalIf(L.mask_codes.count / codes_per_sub != L.ng
+                    || L.mask_codes.count % codes_per_sub != 0,
+                what_, ": layer ", i, " mask-code count ",
+                L.mask_codes.count, " does not match ng*d/M (ng ", L.ng,
+                ", d/M ", codes_per_sub, ")");
         checkArray(MvqiArray{L.operands_off,
                              static_cast<std::int64_t>(L.groups)},
-                   operandRecordBytes(), "operand records",
-                   v3 ? kMvqiRecordAlign : kMvqiAlign);
+                   sizeof(MvqiOperand), "operand records", kMvqiRecordAlign);
 
         for (std::int32_t g = 0; g < L.groups; ++g) {
-            std::int64_t rows = 0;
-            std::int64_t cols = 0;
-            MvqiArray row_ptr;
-            if (v3) {
-                const MvqiOperand op = operand(i, g);
-                rows = op.rows;
-                cols = op.cols;
-                fatalIf(cols >= kMaxSparseCols, what_, ": layer ", i,
-                        " operand ", g, " has ", cols,
-                        " columns, past the 16-bit column field");
-                row_ptr = op.rem_row_ptr;
-                checkArray(op.tiles, sizeof(Tile), "tiles");
-                checkArray(op.tile_cols, sizeof(std::int32_t), "tile cols");
-                checkArray(op.tile_idx, sizeof(std::uint16_t),
-                           "tile indices");
-                checkArray(op.band_ptr, sizeof(std::int64_t), "band_ptr");
-                fatalIf(op.band_ptr.count < 1, what_, ": layer ", i,
-                        " operand ", g, " band_ptr is empty");
-                checkArray(op.rem_row_ptr, sizeof(std::int64_t),
-                           "remainder row_ptr");
-                checkArray(op.rem_entries, sizeof(std::uint32_t),
-                           "remainder entries");
-            } else {
-                // Never read (the operands are repacked from the
-                // symbols), but every section must still lie inside the
-                // image and agree on its counts.
-                const LegacyRecord rec = legacyRecord(*this, L, g);
-                rows = rec.rows;
-                cols = rec.cols;
-                for (std::size_t a = 0; a < rec.arrays.size(); ++a)
-                    checkArray(rec.arrays[a], rec.section(a).elem_bytes,
-                               rec.section(a).name);
-                const std::size_t n = rec.arrays.size();
-                row_ptr = rec.arrays[n - 3];
-                fatalIf(rec.arrays[n - 2].count != rec.arrays[n - 1].count,
-                        what_, ": layer ", i, " operand ", g,
-                        " remainder col_idx/values count mismatch");
-            }
-            fatalIf(rows < 0 || cols < 0, what_, ": layer ", i,
+            const MvqiOperand op = operand(i, g);
+            fatalIf(op.cols >= kMaxSparseCols, what_, ": layer ", i,
+                    " operand ", g, " has ", op.cols,
+                    " columns, past the 16-bit column field");
+            checkArray(op.tiles, sizeof(Tile), "tiles");
+            checkArray(op.tile_cols, sizeof(std::int32_t), "tile cols");
+            checkArray(op.tile_idx, sizeof(std::uint16_t), "tile indices");
+            checkArray(op.band_ptr, sizeof(std::int64_t), "band_ptr");
+            fatalIf(op.band_ptr.count < 1, what_, ": layer ", i, " operand ",
+                    g, " band_ptr is empty");
+            checkArray(op.rem_row_ptr, sizeof(std::int64_t),
+                       "remainder row_ptr");
+            checkArray(op.rem_entries, sizeof(std::uint32_t),
+                       "remainder entries");
+            fatalIf(op.rows < 0 || op.cols < 0, what_, ": layer ", i,
                     " operand ", g, " has negative dimensions");
-            fatalIf(row_ptr.count != rows + 1, what_, ": layer ", i,
-                    " operand ", g, " remainder row_ptr count ",
-                    row_ptr.count, " does not match rows+1 = ", rows + 1);
+            fatalIf(op.rem_row_ptr.count != op.rows + 1, what_, ": layer ",
+                    i, " operand ", g, " remainder row_ptr count ",
+                    op.rem_row_ptr.count, " does not match rows+1 = ",
+                    op.rows + 1);
         }
     }
 }
@@ -727,21 +626,11 @@ mvqiSectionBytes(const MvqiView &v)
     }
     for (std::int64_t i = 0; i < v.layerCount(); ++i) {
         const MvqiLayer &L = v.layer(i);
-        addArray(s.assignments, L.assignments, v.symbolBytes());
-        addArray(s.mask_codes, L.mask_codes, v.symbolBytes());
-        add(s.records, L.operands_off, L.groups * v.operandRecordBytes());
+        addArray(s.assignments, L.assignments, sizeof(std::uint16_t));
+        addArray(s.mask_codes, L.mask_codes, sizeof(std::uint16_t));
+        add(s.records, L.operands_off,
+            L.groups * static_cast<std::int64_t>(sizeof(MvqiOperand)));
         for (std::int32_t g = 0; g < L.groups; ++g) {
-            if (!v.bakedOperandsServable()) {
-                const LegacyRecord rec = legacyRecord(v, L, g);
-                for (std::size_t a = 0; a < rec.arrays.size(); ++a) {
-                    const LegacySection &sec = rec.section(a);
-                    addArray(sec.full_csr    ? s.full_csr
-                                 : sec.remainder ? s.remainder
-                                                 : s.tiles,
-                             rec.arrays[a], sec.elem_bytes);
-                }
-                continue;
-            }
             const MvqiOperand op = v.operand(i, g);
             addArray(s.tiles, op.tiles, sizeof(Tile));
             addArray(s.tiles, op.tile_cols, sizeof(std::int32_t));

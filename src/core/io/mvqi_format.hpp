@@ -16,11 +16,9 @@
  * decode, no packSparseRows/packGroupedRows, and N server processes
  * share one read-only page-cached image.
  *
- * v1 and v2 images (fp32 value + int32 column per kept weight; v1 also a
- * full single-row CSR copy) are still read: their operand records are
- * bounds-checked and ignored, and their operands are repacked from the
- * assignments and mask codes (ModelArtifact::packedOperands). The writer
- * emits v3 only; `mvqi convert` upgrades.
+ * The reader accepts exactly the version the writer emits. An image is a
+ * build product of its `.mvq` stream, so a format bump means a rebuild
+ * (`mvqi convert model.mvq model.mvqi`), not a reader shim.
  *
  * Byte-level layout, alignment rules, and the versioning policy are
  * specified in docs/FORMAT.md; this header is the single source of truth
@@ -43,12 +41,11 @@
 namespace mvq::core::io {
 
 constexpr std::uint32_t kMvqiMagic = 0x4951564Du; //!< "MVQI", little-endian
-constexpr std::uint32_t kMvqiVersion = 3;   //!< the version written
-constexpr std::uint32_t kMvqiMinVersion = 1; //!< oldest version read
-/** Alignment of codebooks and TOCs (and, in v1/v2, of every section);
- *  v3 aligns the other arrays to their element size. */
+constexpr std::uint32_t kMvqiVersion = 3; //!< the one version written and read
+/** Alignment of codebooks and TOCs; the other arrays are aligned to their
+ *  element size. */
 constexpr std::int64_t kMvqiAlign = 64;
-/** v3 operand records: 8-byte aligned (they hold 64-bit fields). */
+/** Operand records: 8-byte aligned (they hold 64-bit fields). */
 constexpr std::int64_t kMvqiRecordAlign = 8;
 constexpr std::size_t kMvqiNameBytes = 64; //!< fixed layer-name field
 
@@ -92,7 +89,7 @@ struct MvqiCodebook
 static_assert(sizeof(MvqiCodebook) == 48);
 
 /**
- * One pre-packed sparse operand (v3): a GroupedSparseMatrix (one conv
+ * One pre-packed sparse operand: a GroupedSparseMatrix (one conv
  * group of one layer) flattened into offset-addressed sections. The
  * tiles section stores GroupedSparseMatrix::Tile structs verbatim (their
  * layout is static_asserted in mvqi_format.cpp), so a loaded operand
@@ -113,14 +110,6 @@ struct MvqiOperand
 };
 static_assert(sizeof(MvqiOperand) == 112);
 
-/*
- * v1 and v2 operand records (read-only) are rows, cols and then ten (v1:
- * a full single-row CSR copy, tiles with an fp32 value pool, remainder
- * CSR with int32 columns and fp32 values) or seven (v2: the same without
- * the full CSR) MvqiArray fields: 176 and 128 bytes. A reader bounds-
- * checks them and never reads them (mvqi_format.cpp walks them).
- */
-
 /** One layer TOC entry. */
 struct MvqiLayer
 {
@@ -136,8 +125,8 @@ struct MvqiLayer
     std::int32_t groups = 1;        //!< conv groups baked into operands
     std::int64_t dense_flops = 0;
     std::int64_t ng = 0;
-    MvqiArray assignments;          //!< uint16 (v1/v2: int32), ng
-    MvqiArray mask_codes;           //!< uint16 (v1/v2: uint32), ng * d/M
+    MvqiArray assignments;          //!< uint16, ng
+    MvqiArray mask_codes;           //!< uint16, ng * d/M
     std::uint64_t operands_off = 0; //!< `groups` operand records
     std::uint64_t reserved = 0;
 };
@@ -152,13 +141,14 @@ struct MvqiWriteOptions
 };
 
 /**
- * Serialize `model` into an MVQI v3 image: runs packGroupedRows per layer
+ * Serialize `model` into an MVQI image: runs packGroupedRows per layer
  * ONCE here, at serialize time, so no load ever runs it again.
  * Deterministic: same model + options => identical bytes (the golden
  * fixture test depends on this). Fatal on a model that fails
  * CompressedModel::validate, layer names >= 64 bytes, invalid groups,
- * and layers past the 16-bit limits of the layout: conv-group gemm
- * K >= 65,536, codebook k*d > 65,536 or C(M,N) > 65,536.
+ * `layer_groups` entries that name no layer, and layers past the 16-bit
+ * limits of the layout: conv-group gemm K >= 65,536, codebook
+ * k*d > 65,536 or C(M,N) > 65,536.
  */
 std::vector<std::uint8_t> buildMvqiImage(const CompressedModel &model,
                                          const MvqiWriteOptions &opts = {});
@@ -239,16 +229,8 @@ class MvqiView
     std::int64_t layerCount() const;
     const MvqiCodebook &codebook(std::int64_t i) const;
     const MvqiLayer &layer(std::int64_t i) const;
-    /** The v3 operand record `group` of a layer (panics on an older
-     *  image, whose records are never read). */
+    /** The operand record `group` of a layer. */
     MvqiOperand operand(std::int64_t layer_idx, std::int64_t group) const;
-    /** Bytes of one operand record in this image's version. */
-    std::int64_t operandRecordBytes() const;
-    /** True for a v3 image, whose operands are served as borrowed
-     *  views; older images repack theirs from the symbols. */
-    bool bakedOperandsServable() const;
-    /** Bytes of one stored assignment / mask code (2 in v3, else 4). */
-    std::int64_t symbolBytes() const;
 
     /** Typed pointer to a validated array section. */
     template <typename T>
@@ -265,7 +247,7 @@ class MvqiView
   private:
     void validate();
     /** Bounds-, overflow- and alignment-check one section; `align` 0
-     *  means the version's rule for an array of `elem_bytes` elements. */
+     *  means min(elem_bytes, 8). */
     void checkArray(const MvqiArray &a, std::int64_t elem_bytes,
                     const char *name, std::int64_t align = 0) const;
 
@@ -286,7 +268,6 @@ struct MvqiSectionBytes
     std::int64_t mask_codes = 0;  //!< N:M mask codes
     std::int64_t tiles = 0;       //!< tiles, their pools, band_ptr
     std::int64_t remainder = 0;   //!< remainder CSR
-    std::int64_t full_csr = 0;    //!< v1 only: the duplicated full CSR
     std::int64_t records = 0;     //!< header, TOCs and operand records
     std::int64_t padding = 0;     //!< bytes no section covers (alignment)
 
@@ -294,7 +275,7 @@ struct MvqiSectionBytes
     total() const
     {
         return codebooks + assignments + mask_codes + tiles + remainder
-            + full_csr + records + padding;
+            + records + padding;
     }
 };
 

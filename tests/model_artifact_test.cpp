@@ -6,7 +6,7 @@
  * image, borrowed-view vs owned-operand forward identity,
  * operand sharing/caching, mapping lifetime, the aligned-heap fallback,
  * the checked-in golden fixture pinning MVQI format v3 byte-for-byte, and
- * the frozen v1 and v2 fixtures still loading, forwarding and upgrading.
+ * the `.mvq` stream rebuilding that fixture exactly.
  *
  * Regenerate the v3 fixture (after an *intentional* format change — bump
  * kMvqiVersion!) with:  MVQ_WRITE_GOLDEN=1 ./model_artifact_test
@@ -21,7 +21,6 @@
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
-#include "common/simd_dispatch.hpp"
 #include "core/io/model_artifact.hpp"
 #include "core/serialize.hpp"
 #include "mvqi_test_util.hpp"
@@ -262,11 +261,12 @@ TEST_F(ModelArtifactTest, NonBakedGroupCountFallsBackCorrectly)
 /** Expect buildMvqiImage to fail naming `layer` and `needle`. */
 void
 expectWriterRejects(const CompressedModel &m, const std::string &layer,
-                    const std::string &needle)
+                    const std::string &needle,
+                    const io::MvqiWriteOptions &opts = {})
 {
     try {
-        io::buildMvqiImage(m);
-        FAIL() << "writer accepted a layer past the 16-bit limits";
+        io::buildMvqiImage(m, opts);
+        FAIL() << "writer accepted layer " << layer;
     } catch (const FatalError &e) {
         const std::string what = e.what();
         EXPECT_NE(what.find(layer), std::string::npos) << what;
@@ -313,6 +313,16 @@ TEST(MvqiWriter, RejectsLayersPastThe16BitLimits)
     }
 }
 
+TEST(MvqiWriter, RejectsGroupsForUnknownLayers)
+{
+    // A misspelt layer name must not silently bake groups 1 (the served
+    // conv would then repack at first use instead of borrowing).
+    io::MvqiWriteOptions opts = goldenWriteOptions();
+    opts.layer_groups["conv1_grupped"] = 2;
+    expectWriterRejects(makeGoldenModel(), "conv1_grupped",
+                        "model does not have", opts);
+}
+
 TEST(MvqiGolden, FixturePinsFormatV3)
 {
     // Byte-for-byte lock on the checked-in v3 image. If this fails you
@@ -336,128 +346,51 @@ TEST(MvqiGolden, FixturePinsFormatV3)
         << "MVQI writer output drifted from the v3 fixture";
 }
 
-/** The frozen fixtures of the older versions, oldest first. */
-constexpr const char *kOldFixtures[] = {"golden_v1.mvqi", "golden_v2.mvqi"};
-
-TEST(MvqiGolden, OldFixturesLoadThroughTheRepackPath)
+TEST(MvqiGolden, StreamRebuildsTheV3Fixture)
 {
-    // v1/v2 operand records hold fp32 values, not codebook indices, so a
-    // reader bounds-checks and ignores them: every layer is repacked from
-    // the image's assignments and mask codes (owned operands sharing one
-    // codebook table per layer), exactly like a non-baked group count.
-    std::uint32_t version = 1;
-    for (const char *name : kOldFixtures) {
-        const auto art = io::openArtifact(goldenPath(name));
-        ASSERT_EQ(art->layerCount(), 2);
-        EXPECT_EQ(art->view().header().version, version++);
-        EXPECT_FALSE(art->view().bakedOperandsServable());
-        for (std::int64_t i = 0; i < art->layerCount(); ++i) {
-            const io::SharedOperands ops = art->packedOperands(i);
-            ASSERT_EQ(static_cast<std::int64_t>(ops->size()),
-                      art->bakedGroups(i));
-            for (const GroupedSparseMatrix &g : *ops) {
-                EXPECT_FALSE(g.remainder.row_ptr.borrowed()) << name;
-                EXPECT_TRUE(g.validated) << name;
-                // All groups of one layer share one table.
-                EXPECT_EQ(g.table().data(), ops->front().table().data());
-            }
-        }
-    }
-}
-
-TEST(MvqiGolden, OldFixturesForwardMatchV3ImagePerIsa)
-{
-    // The repacked operands of the v1/v2 fixtures and the borrowed
-    // operands of the v3 image are the same operands, so forwards
-    // memcmp-match on every ISA.
-    const simd::Isa saved = simd::activeIsa();
-    const std::string v3_path = tmpPath("mvq_golden_v3_isa.mvqi");
-    io::saveArtifact(makeGoldenModel(), v3_path, io::ArtifactFormat::Mvqi,
-                     goldenWriteOptions());
-    const auto v3 = io::openArtifact(v3_path);
-    ASSERT_EQ(v3->view().header().version, io::kMvqiVersion);
-    for (const char *name : kOldFixtures) {
-        const auto old = io::openArtifact(goldenPath(name));
-        for (simd::Isa isa :
-             {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Neon}) {
-            if (!simd::isaAvailable(isa))
-                continue;
-            ASSERT_TRUE(simd::setIsa(isa));
-            for (std::int64_t i = 0; i < 2; ++i) {
-                const std::int64_t groups = v3->bakedGroups(i);
-                EXPECT_TRUE(tensorsBitIdentical(
-                    forwardLayer(*old, i, groups, 6),
-                    forwardLayer(*v3, i, groups, 6)))
-                    << name << " " << simd::isaName(isa) << " layer " << i;
-            }
-        }
-    }
-    simd::setIsa(saved);
-    std::remove(v3_path.c_str());
-}
-
-TEST(MvqiGolden, OldFixturesUpgradeToTheV3Fixture)
-{
-    // Re-encoding an old fixture's model (at its baked groups) writes the
-    // v3 image of the model it was built from, byte for byte — the
-    // one-step `mvqi convert` upgrade.
-    const std::vector<std::uint8_t> golden =
-        readBytes(goldenPath("golden_v3.mvqi"));
-    const std::string out_path = tmpPath("mvq_golden_upgraded.mvqi");
-    for (const char *name : kOldFixtures) {
-        io::saveArtifact(io::openArtifact(goldenPath(name))->model(),
-                         out_path, io::ArtifactFormat::Mvqi,
-                         goldenWriteOptions());
-        EXPECT_EQ(readBytes(out_path), golden) << name;
-    }
-    std::remove(out_path.c_str());
+    // The route a rejected image's message names: the model through its
+    // `.mvq` stream, reopened and written as an image at the golden
+    // groups, is the v3 fixture byte for byte. Every float of the model
+    // is k * 2^-2, so the stream round trip is exact.
+    const std::string stream_path = tmpPath("mvq_golden_rebuild.mvq");
+    const std::string image_path = tmpPath("mvq_golden_rebuild.mvqi");
+    io::saveArtifact(makeGoldenModel(), stream_path,
+                     io::ArtifactFormat::Stream);
+    io::saveArtifact(io::openArtifact(stream_path)->model(), image_path,
+                     io::ArtifactFormat::Mvqi, goldenWriteOptions());
+    EXPECT_EQ(readBytes(image_path), readBytes(goldenPath("golden_v3.mvqi")));
+    std::remove(stream_path.c_str());
+    std::remove(image_path.c_str());
 }
 
 TEST(MvqiGolden, SectionsSumToTheFileSize)
 {
-    // `mvqi info`'s split: every byte in exactly one section kind, in
-    // every version.
-    std::vector<std::vector<std::uint8_t>> bytes;
-    std::vector<io::MvqiSectionBytes> s;
-    for (const char *name :
-         {"golden_v1.mvqi", "golden_v2.mvqi", "golden_v3.mvqi"}) {
-        bytes.push_back(readBytes(goldenPath(name)));
-        const io::MvqiView view(bytes.back().data(),
-                                static_cast<std::int64_t>(
-                                    bytes.back().size()),
-                                name);
-        s.push_back(io::mvqiSectionBytes(view));
-        EXPECT_EQ(s.back().total(), view.size()) << name;
+    // `mvqi info`'s split: every byte in exactly one section kind.
+    const std::vector<std::uint8_t> bytes =
+        readBytes(goldenPath("golden_v3.mvqi"));
+    const io::MvqiView view(bytes.data(),
+                            static_cast<std::int64_t>(bytes.size()),
+                            "golden_v3");
+    const io::MvqiSectionBytes s = io::mvqiSectionBytes(view);
+    EXPECT_EQ(s.total(), view.size());
+    // 16-bit symbols, 112-byte records (one group in layer 0, two in
+    // layer 1), and one 4-byte word per kept weight, or a 2-byte index
+    // inside a tile.
+    const CompressedModel m = makeGoldenModel();
+    std::int64_t ng = 0;
+    std::int64_t codes = 0;
+    std::int64_t codewords = 0;
+    for (const CompressedLayer &cl : m.layers) {
+        ng += cl.ng();
+        codes += cl.ng() * (cl.cfg.d / cl.cfg.pattern.m);
     }
-    const io::MvqiView view1(bytes[0].data(),
-                             static_cast<std::int64_t>(bytes[0].size()),
-                             "golden_v1");
-    // v1's copy: row_ptr (rows+1 x i64) plus an i32 column and an f32
-    // value per kept weight, for each of the three operands (16 rows in
-    // one group, then 8 rows in each of two). v2 dropped it; v1 and v2
-    // agree on everything else but the 48 bytes per record the copy's
-    // fields took.
-    ASSERT_EQ(view1.layer(1).groups, 2);
-    std::int64_t kept = 0;
-    for (const CompressedLayer &cl : makeGoldenModel().layers)
-        kept += cl.ng() * cl.cfg.d * cl.cfg.pattern.n / cl.cfg.pattern.m;
-    EXPECT_EQ(s[0].full_csr, (17 + 9 + 9) * 8 + kept * 8);
-    EXPECT_EQ(s[1].full_csr, 0);
-    EXPECT_EQ(s[2].full_csr, 0);
-    EXPECT_EQ(s[0].tiles, s[1].tiles);
-    EXPECT_EQ(s[0].remainder, s[1].remainder);
-    EXPECT_EQ(s[0].records - s[1].records, 3 * (176 - 128));
-    // v3: the same codebooks, 16-bit symbols, 112-byte records, and one
-    // 4-byte word per kept weight instead of an 8-byte column + value.
-    for (const io::MvqiSectionBytes &old : {s[0], s[1]}) {
-        EXPECT_EQ(old.codebooks, s[2].codebooks);
-        EXPECT_EQ(old.assignments, 2 * s[2].assignments);
-        EXPECT_EQ(old.mask_codes, 2 * s[2].mask_codes);
-    }
-    EXPECT_EQ(s[1].records - s[2].records, 3 * (128 - 112));
-    EXPECT_GT(s[2].remainder, 0);
-    EXPECT_LT(s[2].remainder + s[2].tiles, s[1].remainder + s[1].tiles);
-    EXPECT_LT(s[2].padding, s[1].padding);
+    for (const Codebook &cb : m.codebooks)
+        codewords += cb.codewords.numel();
+    EXPECT_EQ(s.codebooks, codewords * 4);
+    EXPECT_EQ(s.assignments, ng * 2);
+    EXPECT_EQ(s.mask_codes, codes * 2);
+    EXPECT_EQ(s.records, 64 + 2 * 48 + 2 * 200 + 3 * 112);
+    EXPECT_GT(s.remainder, 0);
 }
 
 } // namespace

@@ -4,15 +4,14 @@
  * stream must fail with a clear FatalError (or, for benign payload
  * flips, load correctly) — never undefined behaviour, never a crash,
  * never an escaped PanicError. The targeted cases pin one diagnostic each
- * (truncation, bad magic, wrong version, misaligned sections, out-of-range
- * TOC, inconsistent counts, records of one version under another's
- * header, a truncated v3 record table, packed entries whose column or
- * codebook index is out of range or whose columns do not ascend, mask
- * codes past C(M,N), assignments past their codebook, subvector counts
- * the kernel shape contradicts); the deterministic byte-flip sweep, over
- * a v3 image and the frozen v1 and v2 fixtures, is the fuzz-style pass
- * the ASan/UBSan CI job runs over (mvqi_fuzz_test adds the
- * structure-aware mutations).
+ * (truncation, bad magic, any version but the one written, misaligned
+ * sections, out-of-range TOC, inconsistent counts, a truncated operand
+ * record table, packed entries whose column or codebook index is out of
+ * range or whose columns do not ascend, mask codes past C(M,N),
+ * assignments past their codebook, subvector counts the kernel shape
+ * contradicts); the deterministic byte-flip sweep over the image the
+ * writer emits is the fuzz-style pass the ASan/UBSan CI job runs over
+ * (mvqi_fuzz_test adds the structure-aware mutations).
  */
 
 #include <gtest/gtest.h>
@@ -44,20 +43,6 @@ validImage()
     return image;
 }
 
-/** The frozen v1 fixture: same model, 176-byte operand records. */
-std::vector<std::uint8_t>
-v1Image()
-{
-    return readBytes(goldenPath("golden_v1.mvqi"));
-}
-
-/** The frozen v2 fixture: same model, 128-byte fp32 operand records. */
-std::vector<std::uint8_t>
-v2Image()
-{
-    return readBytes(goldenPath("golden_v2.mvqi"));
-}
-
 /** Layer `i`'s TOC entry of an image. */
 io::MvqiLayer
 layerOf(const std::vector<std::uint8_t> &img, std::size_t i)
@@ -70,7 +55,7 @@ layerOf(const std::vector<std::uint8_t> &img, std::size_t i)
     return L;
 }
 
-/** Operand record `g` of layer `i` of a v3 image. */
+/** Operand record `g` of layer `i` of an image. */
 io::MvqiOperand
 operandOf(const std::vector<std::uint8_t> &img, std::size_t i,
           std::size_t g = 0)
@@ -82,7 +67,7 @@ operandOf(const std::vector<std::uint8_t> &img, std::size_t i,
     return op;
 }
 
-/** Entry `e` of a v3 operand's remainder. */
+/** Entry `e` of an operand's remainder. */
 std::uint32_t
 entryAt(const std::vector<std::uint8_t> &img, const io::MvqiOperand &op,
         std::int64_t e)
@@ -191,64 +176,27 @@ TEST_F(MvqiCorruptionTest, BadMagic)
 
 TEST_F(MvqiCorruptionTest, WrongVersion)
 {
-    // The versions just outside the readable range (min - 1 and
-    // current + 1), and one far past it.
-    for (const std::uint32_t v :
-         {io::kMvqiMinVersion - 1, io::kMvqiVersion + 1,
-          io::kMvqiVersion + 7}) {
-        patchU32(4, v);
+    // Every version but the one written is refused up front, whatever the
+    // records behind the header look like: the older layouts, the next
+    // one, one far past it, and zero. The message names the file and the
+    // rebuild from its `.mvq` stream.
+    for (const std::uint32_t v : {0u, 1u, 2u, 4u, 10u}) {
+        ASSERT_NE(v, io::kMvqiVersion);
+        std::vector<std::uint8_t> img = validImage();
+        std::memcpy(img.data() + 4, &v, sizeof(v));
+        EXPECT_THROW(io::MvqiView(img.data(),
+                                  static_cast<std::int64_t>(img.size()),
+                                  "relabelled image"),
+                     FatalError)
+            << "version " << v;
+        writeBytes(img);
         expectFatal("unsupported MVQI version " + std::to_string(v));
+        expectFatal(kPath);
+        expectFatal("mvqi convert model.mvq model.mvqi");
     }
 }
 
-TEST_F(MvqiCorruptionTest, V1RecordsUnderV2HeaderRejectedStructurally)
-{
-    // Relabel the v1 fixture as v2: the reader then walks its 176-byte
-    // operand records at the 128-byte stride and reads full-CSR fields as
-    // tile and remainder sections. The structural view must refuse the
-    // file before any operand is borrowed.
-    std::vector<std::uint8_t> img = v1Image();
-    ASSERT_GT(img.size(), 8u);
-    const std::uint32_t v2 = 2;
-    std::memcpy(img.data() + 4, &v2, sizeof(v2));
-    EXPECT_THROW(io::MvqiView(img.data(),
-                              static_cast<std::int64_t>(img.size()),
-                              "relabelled v1"),
-                 FatalError);
-    writeBytes(img);
-    expectFatal(kPath);
-}
-
-TEST_F(MvqiCorruptionTest, V3ImageUnderV2HeaderRejectedStructurally)
-{
-    // A v3 image relabelled as v2: its sections are aligned to their
-    // element size, not to the 64 bytes every v2 section starts on, and
-    // its records are 112 bytes, not 128.
-    std::vector<std::uint8_t> img = validImage();
-    const std::uint32_t v2 = 2;
-    std::memcpy(img.data() + 4, &v2, sizeof(v2));
-    EXPECT_THROW(io::MvqiView(img.data(),
-                              static_cast<std::int64_t>(img.size()),
-                              "relabelled v3"),
-                 FatalError);
-    writeBytes(img);
-    expectFatal(kPath);
-}
-
-TEST_F(MvqiCorruptionTest, V2RecordsUnderV3HeaderRejected)
-{
-    // The v2 fixture relabelled as v3: its 128-byte records read at the
-    // 112-byte stride, int32 columns read as packed entries and 32-bit
-    // symbols read as 16-bit ones. Whatever layer catches it, the result
-    // is a FatalError naming the file.
-    std::vector<std::uint8_t> img = v2Image();
-    const std::uint32_t v3 = 3;
-    std::memcpy(img.data() + 4, &v3, sizeof(v3));
-    writeBytes(img);
-    expectFatal(kPath);
-}
-
-TEST_F(MvqiCorruptionTest, TruncatedV3RecordTableRejected)
+TEST_F(MvqiCorruptionTest, TruncatedRecordTableRejected)
 {
     // The last layer's operand records are the image's final section: cut
     // the file inside them and make file_bytes agree, so only the record
@@ -277,9 +225,8 @@ TEST_F(MvqiCorruptionTest, MisalignedSection)
         patchU64(24, h.codebook_toc_off + 8);
         expectFatal("misaligned codebook TOC");
     }
-    // v3 operand arrays need only their element size: moving the 4-byte
-    // remainder entries by 2 bytes breaks that (a 4-byte shift, which
-    // v2's 64-byte rule rejected, is now a well-aligned offset).
+    // Operand arrays need only their element size: moving the 4-byte
+    // remainder entries by 2 bytes breaks that.
     {
         std::vector<std::uint8_t> img = validImage();
         const io::MvqiLayer L = layerOf(img, 0);
@@ -321,6 +268,22 @@ TEST_F(MvqiCorruptionTest, KernelShapeOverflowRejected)
                     &huge, sizeof(huge));
     writeBytes(img);
     expectFatal("kernel shape overflows");
+}
+
+TEST_F(MvqiCorruptionTest, MaskCodeCountOverflowRejected)
+{
+    // d = 2^60 keeps d % M == 0, and ng * d/M (36 * 2^58) overflows
+    // int64: the count check must reject the layer without computing it.
+    // Found by mvqi_fuzz_test (UBSan: signed overflow in MvqiView).
+    std::vector<std::uint8_t> img = validImage();
+    io::MvqiHeader h;
+    std::memcpy(&h, img.data(), sizeof(h));
+    const std::int64_t huge_d = std::int64_t{1} << 60;
+    std::memcpy(img.data() + h.layer_toc_off + sizeof(io::MvqiLayer)
+                    + offsetof(io::MvqiLayer, d),
+                &huge_d, sizeof(huge_d));
+    writeBytes(img);
+    expectFatal("mask-code count");
 }
 
 TEST_F(MvqiCorruptionTest, FileSizeFieldMismatch)
@@ -495,35 +458,29 @@ TEST_F(MvqiCorruptionTest, TruncatedThenMmapThroughFaultSite)
 TEST_F(MvqiCorruptionTest, DeterministicByteFlipSweep)
 {
     // Fuzz-style negative corpus: XOR one byte at a stride of positions
-    // across the whole image, for the v3 image the writer emits and for
-    // the frozen v1 and v2 fixtures (whose operand records the reader
-    // must bound but never read). Every mutant must either load + forward
-    // cleanly (flips in float payloads, names, padding or the unread old
-    // records are benign) or fail with FatalError. Anything else — crash,
+    // across the whole image the writer emits. Every mutant must either
+    // load + forward cleanly (flips in float payloads, names or padding
+    // are benign) or fail with FatalError. Anything else — crash,
     // PanicError, UB under the sanitizer job — is a firewall bug.
-    for (const std::vector<std::uint8_t> &img :
-         {validImage(), v1Image(), v2Image()}) {
-        ASSERT_FALSE(img.empty());
-        std::size_t loaded = 0;
-        std::size_t rejected = 0;
-        for (std::size_t off = 0; off < img.size(); off += 37) {
-            std::vector<std::uint8_t> mutant = img;
-            mutant[off] ^= 0xA5u;
-            writeBytes(mutant);
-            try {
-                loadAndUse();
-                ++loaded;
-            } catch (const FatalError &) {
-                ++rejected;
-            }
-            // No other exception type may escape; PanicError or a signal
-            // here fails the test (and trips ASan/UBSan in the sanitize
-            // job).
+    const std::vector<std::uint8_t> img = validImage();
+    std::size_t loaded = 0;
+    std::size_t rejected = 0;
+    for (std::size_t off = 0; off < img.size(); off += 37) {
+        std::vector<std::uint8_t> mutant = img;
+        mutant[off] ^= 0xA5u;
+        writeBytes(mutant);
+        try {
+            loadAndUse();
+            ++loaded;
+        } catch (const FatalError &) {
+            ++rejected;
         }
-        // The sweep must have exercised both outcomes.
-        EXPECT_GT(loaded, 0u) << img.size() << "-byte image";
-        EXPECT_GT(rejected, 0u) << img.size() << "-byte image";
+        // No other exception type may escape; PanicError or a signal here
+        // fails the test (and trips ASan/UBSan in the sanitize job).
     }
+    // The sweep must have exercised both outcomes.
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 } // namespace
