@@ -3,8 +3,10 @@
  * `mvqi` — conversion / inspection CLI for compressed-model artifacts.
  *
  *   mvqi info <file>                     describe an artifact (either
- *                                        format; layer + codebook table,
- *                                        MVQI version, bytes per section)
+ *                                        format; layer + codebook table
+ *                                        with stored and in-memory
+ *                                        codeword bytes, MVQI version,
+ *                                        bytes per section)
  *   mvqi convert <in> <out> [options]    re-encode between the bit-packed
  *                                        stream and the MVQI image
  *   mvqi verify <file>                   load + fully validate every
@@ -96,10 +98,17 @@ cmdInfo(const std::string &path)
               << "x vs fp32, dense_reconstruct="
               << (m.dense_reconstruct ? "yes" : "no") << "\n";
     for (std::size_t b = 0; b < m.codebooks.size(); ++b) {
+        // Stored: levels at the qbits width (fp32 when unquantized);
+        // in memory: the fp32 table the open decodes them into.
         const core::Codebook &cb = m.codebooks[b];
+        const std::int64_t per_value = mvqiCodewordBytes(cb.qbits);
+        const auto id = static_cast<std::int64_t>(b);
         std::cout << "  codebook " << b << ": k=" << cb.k() << " d="
                   << cb.d() << " qbits=" << cb.qbits << " scale="
-                  << cb.scale << "\n";
+                  << cb.scale << "  stored " << per_value << " B/value ("
+                  << cb.codewords.numel() * per_value << " B), table "
+                  << art->codebookTable(id)->size() * sizeof(float)
+                  << " B\n";
     }
     for (std::int64_t i = 0; i < art->layerCount(); ++i)
         describeLayer(*art, i);

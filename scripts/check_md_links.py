@@ -5,8 +5,11 @@ Scans every tracked *.md file for inline links/images `[text](target)`
 and reference definitions `[label]: target`, skips absolute URLs
 (http/https/mailto) and pure in-page anchors (#...), and checks that the
 remaining relative targets exist on disk (resolved against the linking
-file's directory; a trailing #fragment is ignored for existence). Run
-from anywhere inside the repo; CI runs it as the docs job.
+file's directory; a trailing #fragment is ignored for existence). A
+listed file missing from the working tree (deleted, not yet staged) has
+no links to check and is skipped; links *to* it from other files still
+report as broken. Run from anywhere inside the repo; CI runs it as the
+docs job.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ def markdown_files(root: Path) -> list[Path]:
          "*.md", "**/*.md"],
         check=True, capture_output=True, text=True, cwd=root,
     )
-    return [root / line for line in out.stdout.splitlines() if line]
+    # A tracked file deleted but not yet staged has no links to check.
+    return [root / line for line in out.stdout.splitlines()
+            if line and (root / line).is_file()]
 
 
 def strip_code(text: str) -> str:

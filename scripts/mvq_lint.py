@@ -31,7 +31,8 @@ compiler nor clang-tidy sees them):
 
 Run from anywhere inside the repo (ctest runs it as `mvq_lint`); use
 --selftest to run the checks against tests/lint_fixtures/ and assert
-each known-bad snippet is flagged (ctest `lint_selftest`).
+each known-bad snippet is flagged (ctest `lint_selftest`); the selftest
+also covers scripts/check_md_links.py on a scratch tree.
 """
 
 from __future__ import annotations
@@ -39,7 +40,10 @@ from __future__ import annotations
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import check_md_links
 
 SIMD_TUS = {"src/common/simd_avx2.cpp", "src/common/simd_neon.cpp"}
 ENV_TU = "src/common/env.cpp"
@@ -365,6 +369,8 @@ def selftest(root: Path) -> int:
     else:
         print(f"ok: stale README knob row -> {stale[0]}")
 
+    failures.extend(md_links_selftest())
+
     if failures:
         print("\n".join(failures))
         print(f"\nselftest: {len(failures)} failure(s)")
@@ -372,6 +378,33 @@ def selftest(root: Path) -> int:
     print(f"selftest: all {len(cases)} fixtures flagged, clean snippet "
           "clean")
     return 0
+
+
+def md_links_selftest() -> list[str]:
+    """check_md_links on a scratch git tree: a tracked markdown file
+    deleted from the working tree (deletion not staged) is skipped, not
+    a crash, while a link to it from a file on disk stays broken."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name, text in (("a.md", "[gone](gone.md) and [b](b.md)\n"),
+                           ("b.md", "no links\n"), ("gone.md", "bye\n")):
+            (root / name).write_text(text, encoding="utf-8")
+        for cmd in (["git", "init", "-q"], ["git", "add", "."]):
+            subprocess.run(cmd, check=True, capture_output=True, cwd=root)
+        (root / "gone.md").unlink()
+        try:
+            files = check_md_links.markdown_files(root)
+            errors = [e for md in files
+                      for e in check_md_links.check_file(md, root)]
+        except OSError as e:
+            return [f"md links: deleted tracked file crashed the check: {e}"]
+    if sorted(f.name for f in files) != ["a.md", "b.md"]:
+        return ["md links: deleted tracked file not skipped: "
+                + ", ".join(f.name for f in files)]
+    if errors != ["a.md: broken relative link -> gone.md"]:
+        return [f"md links: link to the deleted file not reported: {errors}"]
+    print(f"ok: md links with a deleted tracked file -> {errors[0]}")
+    return []
 
 
 def main() -> int:

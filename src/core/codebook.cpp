@@ -13,7 +13,7 @@ quantizeValue(float v, float scale, int qbits)
     const float qmin = -static_cast<float>(1 << (qbits - 1));
     float q = std::round(v / scale);
     q = std::min(std::max(q, qmin), qmax);
-    return q * scale;
+    return dequantizeLevel(static_cast<std::int64_t>(q), scale);
 }
 
 namespace {

@@ -35,6 +35,18 @@ struct Codebook
 };
 
 /**
+ * The one decode of a quantized codeword: its signed level times the
+ * codebook's scale. quantizeValue, the `.mvq` stream reader and the MVQI
+ * reader all call it, so a codeword snapped by one decodes to the same
+ * float bits through the others.
+ */
+inline float
+dequantizeLevel(std::int64_t level, float scale)
+{
+    return static_cast<float>(level) * scale;
+}
+
+/**
  * Symmetric uniform quantization of v with scale s and qb bits:
  * round(v / s) clamped to [-2^(qb-1), 2^(qb-1)-1], times s.
  */

@@ -84,7 +84,7 @@ borrowArr(const MvqiView &v, const MvqiArray &a)
 
 /**
  * Assemble a GroupedSparseMatrix whose every array aliases the image; its
- * value table is the layer's codebook section.
+ * value table is the layer's dequantized codebook.
  */
 GroupedSparseMatrix
 borrowOperand(const MvqiView &v, const MvqiOperand &op,
@@ -136,6 +136,20 @@ ModelArtifact::ModelArtifact(Opened opened)
       view_(map_->data(), map_->size(), map_->path()),
       model_(std::move(opened.model))
 {
+    // The image stores codewords as levels: decode each codebook once
+    // here, into the one table all of its layers' operands share.
+    tables_.reserve(static_cast<std::size_t>(view_.codebookCount()));
+    for (std::int64_t i = 0; i < view_.codebookCount(); ++i)
+        tables_.push_back(std::make_shared<const std::vector<float>>(
+            view_.codewords(i)));
+}
+
+CodebookTable
+ModelArtifact::codebookTable(std::int64_t i) const
+{
+    panicIf(i < 0 || i >= view_.codebookCount(), "codebook index ", i,
+            " out of range [0, ", view_.codebookCount(), ")");
+    return tables_[static_cast<std::size_t>(i)];
 }
 
 std::int64_t
@@ -182,15 +196,14 @@ ModelArtifact::modelLocked() const
     m.dense_reconstruct = (view_.header().flags & 1u) != 0;
     for (std::int64_t i = 0; i < view_.codebookCount(); ++i) {
         const MvqiCodebook &rec = view_.codebook(i);
+        const std::vector<float> &table =
+            *tables_[static_cast<std::size_t>(i)];
         Codebook cb;
         cb.qbits = static_cast<int>(rec.qbits);
         cb.scale = rec.scale;
         cb.codewords = Tensor(Shape({rec.k, rec.d}));
-        std::memcpy(cb.codewords.data(),
-                    view_.array<float>(
-                        MvqiArray{rec.codewords_off, rec.k * rec.d}),
-                    static_cast<std::size_t>(rec.k * rec.d)
-                        * sizeof(float));
+        std::memcpy(cb.codewords.data(), table.data(),
+                    table.size() * sizeof(float));
         m.codebooks.push_back(std::move(cb));
     }
     for (std::int64_t i = 0; i < view_.layerCount(); ++i) {
@@ -241,12 +254,10 @@ ModelArtifact::packedOperands(std::int64_t i, std::int64_t groups) const
         // Zero-copy path: borrow every operand array from the image, then
         // run the O(nnz) semantic validation — the line between a corrupt
         // image failing loudly and the kernels reading out of bounds.
-        // Structural bounds were already checked by MvqiView.
-        const MvqiLayer &L = view_.layer(i);
-        const MvqiCodebook &cb = view_.codebook(L.codebook_id);
-        const OperandArray<float> table = OperandArray<float>::borrow(
-            view_.array<float>(MvqiArray{cb.codewords_off, cb.k * cb.d}),
-            cb.k * cb.d);
+        // Structural bounds were already checked by MvqiView. The value
+        // table is the codebook decoded at open, shared, not copied.
+        const OperandArray<float> table = OperandArray<float>::share(
+            codebookTable(view_.layer(i).codebook_id));
         auto holder = std::make_shared<OperandHolder>();
         holder->keepalive = map_;
         holder->ops.reserve(static_cast<std::size_t>(g));

@@ -17,10 +17,12 @@
  *    storage. format() still reports Stream and sizeBytes() the file's
  *    on-disk size.
  *
- * Either way packedOperands borrows views whose pointers alias the image,
- * so the serving code, its cache, its lock and its fault sites are the
- * same whichever file was opened. Converting between formats is
- * saveArtifact(artifact.model()).
+ * Either way the open decodes each codebook's stored levels once into a
+ * shared fp32 table, and packedOperands borrows views whose pointers
+ * alias the image (the value table aside, which every operand of a
+ * codebook shares), so the serving code, its cache, its lock and its
+ * fault sites are the same whichever file was opened. Converting between
+ * formats is saveArtifact(artifact.model()).
  */
 
 #ifndef MVQ_CORE_IO_MODEL_ARTIFACT_HPP
@@ -57,6 +59,10 @@ std::string artifactFormatName(ArtifactFormat f);
  * outlive the artifact that produced them.
  */
 using SharedOperands = std::shared_ptr<const std::vector<GroupedSparseMatrix>>;
+
+/** One codebook dequantized to fp32 (k*d values), shared by the value
+ *  table of every operand that reads it. */
+using CodebookTable = std::shared_ptr<const std::vector<float>>;
 
 /** A compressed-model file opened for reading. */
 class ModelArtifact
@@ -100,15 +106,19 @@ class ModelArtifact
      * one operand set.
      *
      * The baked group count is served as borrowed views over the image
-     * (zero-copy, the layer's codebook section as every operand's value
-     * table; the returned handle keeps the image alive) after the O(nnz)
-     * validateGroupedOperand check. Any other count falls back to
-     * materializing + repacking, which is correct but defeats the
-     * zero-copy point: bake the right groups at write time
-     * (MvqiWriteOptions::layer_groups).
+     * (zero-copy; every operand's value table is the layer's
+     * codebookTable; the returned handle keeps the image and the table
+     * alive) after the O(nnz) validateGroupedOperand check. Any other
+     * count falls back to materializing + repacking, which is correct
+     * but defeats the zero-copy point: bake the right groups at write
+     * time (MvqiWriteOptions::layer_groups).
      */
     SharedOperands packedOperands(std::int64_t i,
                                   std::int64_t groups = 0) const;
+
+    /** Codebook i as decoded at open: the table every operand packed
+     *  from this image that reads codebook i shares. */
+    CodebookTable codebookTable(std::int64_t i) const;
 
     /** True when the image is mmap'ed (vs aligned heap storage). */
     bool mapped() const { return map_->mapped(); }
@@ -128,6 +138,7 @@ class ModelArtifact
     std::int64_t size_bytes_;
     std::shared_ptr<MappedFile> map_;
     MvqiView view_;
+    std::vector<CodebookTable> tables_; //!< per codebook, decoded at open
     /** Serializes lazy materialization and the operand cache: model()
      *  and packedOperands() are called concurrently by serving threads
      *  sharing one artifact (see tests/concurrency_test.cpp). */

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <type_traits>
 
 #include "common/env.hpp"
@@ -161,16 +163,97 @@ appendOperand(ImageBuilder &b, const GroupedSparseMatrix &op)
     return rec;
 }
 
-/** Narrow stored symbols to the image's 16-bit fields (the caller has
- *  checked that they fit). */
-template <typename T>
-std::vector<std::uint16_t>
-narrow16(const std::vector<T> &v)
+/** Narrow stored symbols or levels to an image field of type To (the
+ *  caller has checked that they fit). */
+template <typename To, typename From>
+std::vector<To>
+narrowTo(const std::vector<From> &v)
 {
-    std::vector<std::uint16_t> out(v.size());
+    std::vector<To> out(v.size());
     for (std::size_t i = 0; i < v.size(); ++i)
-        out[i] = static_cast<std::uint16_t>(v[i]);
+        out[i] = static_cast<To>(v[i]);
     return out;
+}
+
+/** Smallest and largest signed level a qbits-bit codeword holds. */
+std::pair<std::int64_t, std::int64_t>
+levelRange(std::int32_t qbits)
+{
+    const std::int64_t half = std::int64_t{1} << (qbits - 1);
+    return {-half, half - 1};
+}
+
+/**
+ * The level in [lo, hi] that dequantizeLevel decodes to exactly `v`, if
+ * there is one. The rounded quotient v / scale is that level up to 2^24;
+ * past it a float holds only every 2nd, 4th, ... integer, so the level
+ * may sit one float step away, and the top level may round up to
+ * 2^(qbits-1) itself: the neighbours of the quotient's float are tried
+ * too, clamped into range.
+ */
+std::optional<std::int64_t>
+gridLevel(float v, float scale, std::int64_t lo, std::int64_t hi)
+{
+    const double q =
+        std::round(static_cast<double>(v) / static_cast<double>(scale));
+    // Also rejects NaN, and keeps the integer conversion defined.
+    if (!(q >= 2.0 * static_cast<double>(lo) - 2.0
+          && q <= 2.0 * static_cast<double>(hi) + 2.0))
+        return std::nullopt;
+    const auto c = static_cast<std::int64_t>(q);
+    const float f = static_cast<float>(c);
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const std::int64_t cand :
+         {c, c - 1, c + 1,
+          static_cast<std::int64_t>(std::nextafter(f, -inf)),
+          static_cast<std::int64_t>(std::nextafter(f, inf))}) {
+        const std::int64_t level = std::clamp(cand, lo, hi);
+        if (dequantizeLevel(level, scale) == v)
+            return level;
+    }
+    return std::nullopt;
+}
+
+/**
+ * Append codebook `id`'s codewords as the image stores them: raw fp32
+ * when unquantized, otherwise signed levels at mvqiCodewordBytes(qbits),
+ * each checked to decode back (dequantizeLevel) to the exact codeword so
+ * the image loses nothing. Returns the section offset.
+ */
+std::uint64_t
+appendCodewords(ImageBuilder &b, const Codebook &cb, std::size_t id)
+{
+    const float *cw = cb.codewords.data();
+    const std::int64_t n = cb.codewords.numel();
+    if (cb.qbits == 0)
+        return b.appendRaw(cw, n, kMvqiAlign);
+    fatalIf(cb.qbits < 0 || cb.qbits > 32, "codebook ", id,
+            " has invalid qbits ", cb.qbits);
+    fatalIf(!std::isfinite(cb.scale) || cb.scale <= 0.0f, "codebook ", id,
+            " is quantized (qbits ", cb.qbits, ") with scale ", cb.scale,
+            "; its levels need a finite scale > 0");
+    const auto [lo, hi] = levelRange(cb.qbits);
+    std::vector<std::int32_t> levels(static_cast<std::size_t>(n));
+    for (std::int64_t i = 0; i < n; ++i) {
+        const std::optional<std::int64_t> level =
+            gridLevel(cw[i], cb.scale, lo, hi);
+        if (!level)
+            fatal("codebook ", id, ": codeword ", i, " = ", cw[i],
+                  " is not on its ", cb.qbits, "-bit grid of step ",
+                  cb.scale, " (snap it with requantizeCodebook)");
+        levels[static_cast<std::size_t>(i)] =
+            static_cast<std::int32_t>(*level);
+    }
+    switch (mvqiCodewordBytes(cb.qbits)) {
+      case 1:
+        return b.appendRaw(narrowTo<std::int8_t>(levels).data(), n,
+                           kMvqiAlign);
+      case 2:
+        return b.appendRaw(narrowTo<std::int16_t>(levels).data(), n,
+                           kMvqiAlign);
+      default:
+        return b.appendRaw(levels.data(), n, kMvqiAlign);
+    }
 }
 
 /** Reject a pattern whose mask codes do not fit the 16-bit field (the
@@ -221,8 +304,7 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
         rec.d = cb.d();
         rec.qbits = cb.qbits;
         rec.scale = cb.scale;
-        rec.codewords_off = b.appendRaw(cb.codewords.data(),
-                                        cb.codewords.numel(), kMvqiAlign);
+        rec.codewords_off = appendCodewords(b, cb, i);
     }
 
     std::vector<MvqiLayer> layer_toc(n_layers);
@@ -261,8 +343,8 @@ buildMvqiImage(const CompressedModel &model, const MvqiWriteOptions &opts)
         rec.groups = static_cast<std::int32_t>(groups);
         rec.dense_flops = cl.dense_flops;
         rec.ng = cl.ng();
-        rec.assignments = b.append(narrow16(cl.assignments));
-        rec.mask_codes = b.append(narrow16(cl.mask_codes));
+        rec.assignments = b.append(narrowTo<std::uint16_t>(cl.assignments));
+        rec.mask_codes = b.append(narrowTo<std::uint16_t>(cl.mask_codes));
 
         // The one and only pack: serving loads borrow these bytes as-is.
         // Entries index the codebook, which the image already holds, so
@@ -437,6 +519,42 @@ MvqiView::codebook(std::int64_t i) const
         data_ + header().codebook_toc_off)[i];
 }
 
+std::vector<float>
+MvqiView::codewords(std::int64_t i) const
+{
+    const MvqiCodebook &cb = codebook(i);
+    const std::size_t n = static_cast<std::size_t>(cb.k * cb.d);
+    std::vector<float> out(n);
+    if (cb.qbits == 0) {
+        std::memcpy(out.data(), data_ + cb.codewords_off, n * sizeof(float));
+        return out;
+    }
+    const auto decode = [&](const auto *levels) {
+        const auto [lo, hi] = levelRange(cb.qbits);
+        for (std::size_t j = 0; j < n; ++j) {
+            const std::int64_t level = levels[j];
+            if (level < lo || level > hi)
+                fatal(what_, ": codebook ", i, " codeword ", j, " has level ",
+                      level, ", outside the ", cb.qbits, "-bit range [", lo,
+                      ", ", hi, "]");
+            out[j] = dequantizeLevel(level, cb.scale);
+        }
+    };
+    const std::uint8_t *p = data_ + cb.codewords_off;
+    switch (mvqiCodewordBytes(cb.qbits)) {
+      case 1:
+        decode(reinterpret_cast<const std::int8_t *>(p));
+        break;
+      case 2:
+        decode(reinterpret_cast<const std::int16_t *>(p));
+        break;
+      default:
+        decode(reinterpret_cast<const std::int32_t *>(p));
+        break;
+    }
+    return out;
+}
+
 const MvqiLayer &
 MvqiView::layer(std::int64_t i) const
 {
@@ -515,10 +633,15 @@ MvqiView::validate()
                 " has invalid dimensions k=", cb.k, " d=", cb.d);
         fatalIf(cb.qbits < 0 || cb.qbits > 32, what_, ": codebook ", i,
                 " has invalid qbits ", cb.qbits);
+        // A NaN scale would decode every codeword to NaN and poison each
+        // output without a crash.
+        fatalIf(cb.qbits > 0 && !(std::isfinite(cb.scale) && cb.scale > 0.0f),
+                what_, ": codebook ", i, " has invalid scale ", cb.scale,
+                " for qbits ", cb.qbits);
         fatalIf(cb.k > std::numeric_limits<std::int64_t>::max() / cb.d,
                 what_, ": codebook ", i, " dimensions overflow");
-        checkArray(MvqiArray{cb.codewords_off, cb.k * cb.d}, sizeof(float),
-                   "codewords", kMvqiAlign);
+        checkArray(MvqiArray{cb.codewords_off, cb.k * cb.d},
+                   mvqiCodewordBytes(cb.qbits), "codewords", kMvqiAlign);
     }
 
     for (std::int64_t i = 0; i < layerCount(); ++i) {
@@ -622,7 +745,7 @@ mvqiSectionBytes(const MvqiView &v)
     for (std::int64_t i = 0; i < v.codebookCount(); ++i) {
         const MvqiCodebook &cb = v.codebook(i);
         add(s.codebooks, cb.codewords_off,
-            cb.k * cb.d * static_cast<std::int64_t>(sizeof(float)));
+            cb.k * cb.d * mvqiCodewordBytes(cb.qbits));
     }
     for (std::int64_t i = 0; i < v.layerCount(); ++i) {
         const MvqiLayer &L = v.layer(i);

@@ -1,20 +1,22 @@
 /**
  * @file
- * MVQI ("MVQ Image") v3 — the flat, aligned, versioned serving format.
+ * MVQI ("MVQ Image") v4 — the flat, aligned, versioned serving format.
  * Where the bit-packed stream format (core/serialize) optimizes for the
  * paper's Eq. 7 storage accounting and must be decoded and re-packed on
  * every load, an MVQI file *is* the in-memory operand layout: fixed-width
  * little-endian header + TOC structs, then sections holding codebooks
- * (64-byte aligned), 16-bit assignments and mask codes, and the
- * pre-packed panel-ready sparse operands (GroupedSparseMatrix tiles +
- * CSR remainder, each array aligned to its element size) exactly as the
- * gemm drivers consume them. Every kept weight is one 32-bit word
- * (column << 16 | codebook index) or, inside a multi-row tile, one
- * 16-bit codebook index; the values themselves live once, in the
- * layer's codebook section, which every operand of the layer borrows as
- * its value table. Loading is therefore mmap + validate: no bit-stream
- * decode, no packSparseRows/packGroupedRows, and N server processes
- * share one read-only page-cached image.
+ * (64-byte aligned; each codeword a signed level at its qbits, in the
+ * narrowest of 1, 2 or 4 bytes, or raw fp32 when unquantized), 16-bit
+ * assignments and mask codes, and the pre-packed panel-ready sparse
+ * operands (GroupedSparseMatrix tiles + CSR remainder, each array
+ * aligned to its element size) exactly as the gemm drivers consume them.
+ * Every kept weight is one 32-bit word (column << 16 | codebook index)
+ * or, inside a multi-row tile, one 16-bit codebook index; the values
+ * themselves live once, in the layer's codebook, which the reader
+ * dequantizes once at open into the value table every operand of the
+ * layer shares. Loading is therefore mmap + validate + one k*d decode
+ * per codebook: no bit-stream decode, no packSparseRows/packGroupedRows,
+ * and N server processes share one read-only page-cached image.
  *
  * The reader accepts exactly the version the writer emits. An image is a
  * build product of its `.mvq` stream, so a format bump means a rebuild
@@ -41,7 +43,7 @@
 namespace mvq::core::io {
 
 constexpr std::uint32_t kMvqiMagic = 0x4951564Du; //!< "MVQI", little-endian
-constexpr std::uint32_t kMvqiVersion = 3; //!< the one version written and read
+constexpr std::uint32_t kMvqiVersion = 4; //!< the one version written and read
 /** Alignment of codebooks and TOCs; the other arrays are aligned to their
  *  element size. */
 constexpr std::int64_t kMvqiAlign = 64;
@@ -73,20 +75,30 @@ struct MvqiHeader
 };
 static_assert(sizeof(MvqiHeader) == 64);
 
-/** One codebook TOC entry. Codewords are stored as raw fp32 (the
- *  dequantized, usable values); qbits/scale ride along so the Eq. 7
- *  accounting and a lossless convert back to the stream format remain
- *  possible. */
+/**
+ * One codebook TOC entry. A quantized codebook (qbits > 0) stores each
+ * codeword as its signed level round(value / scale), in
+ * mvqiCodewordBytes(qbits) bytes; the reader decodes level * scale
+ * (dequantizeLevel) once at open. An unquantized one stores raw fp32.
+ */
 struct MvqiCodebook
 {
     std::int64_t k = 0;
     std::int64_t d = 0;
-    std::int32_t qbits = 0;
-    float scale = 0.0f;
-    std::uint64_t codewords_off = 0; //!< k*d fp32, 64-aligned
+    std::int32_t qbits = 0; //!< 0 (raw fp32) .. 32
+    float scale = 0.0f;     //!< finite and > 0 when qbits > 0
+    std::uint64_t codewords_off = 0; //!< k*d stored values, 64-aligned
     std::uint64_t reserved[2] = {};
 };
 static_assert(sizeof(MvqiCodebook) == 48);
+
+/** Stored bytes per codeword: the narrowest of 1, 2 or 4 that holds a
+ *  signed qbits-bit level, or 4 (fp32) when qbits == 0. */
+constexpr std::int64_t
+mvqiCodewordBytes(std::int32_t qbits)
+{
+    return qbits == 0 ? 4 : qbits <= 8 ? 1 : qbits <= 16 ? 2 : 4;
+}
 
 /**
  * One pre-packed sparse operand: a GroupedSparseMatrix (one conv
@@ -94,8 +106,8 @@ static_assert(sizeof(MvqiCodebook) == 48);
  * tiles section stores GroupedSparseMatrix::Tile structs verbatim (their
  * layout is static_asserted in mvqi_format.cpp), so a loaded operand
  * borrows every array straight from the image, and its value table is
- * the layer's codebook section (k*d fp32). Tiles + remainder hold every
- * kept entry exactly once.
+ * the layer's dequantized codebook (k*d fp32). Tiles + remainder hold
+ * every kept entry exactly once.
  */
 struct MvqiOperand
 {
@@ -146,9 +158,12 @@ struct MvqiWriteOptions
  * Deterministic: same model + options => identical bytes (the golden
  * fixture test depends on this). Fatal on a model that fails
  * CompressedModel::validate, layer names >= 64 bytes, invalid groups,
- * `layer_groups` entries that name no layer, and layers past the 16-bit
- * limits of the layout: conv-group gemm K >= 65,536, codebook
- * k*d > 65,536 or C(M,N) > 65,536.
+ * `layer_groups` entries that name no layer, layers past the 16-bit
+ * limits of the layout (conv-group gemm K >= 65,536, codebook
+ * k*d > 65,536 or C(M,N) > 65,536), and a quantized codebook (qbits > 0)
+ * with a non-finite or non-positive scale or a codeword that is not
+ * exactly dequantizeLevel(level, scale) for a level in its qbits range
+ * — the image stores levels, so an off-grid value could not round-trip.
  */
 std::vector<std::uint8_t> buildMvqiImage(const CompressedModel &model,
                                          const MvqiWriteOptions &opts = {});
@@ -209,9 +224,10 @@ class MappedFile
  * Non-owning structurally validated view over an MVQI image. The
  * constructor is the corruption firewall: truncated file, bad magic,
  * unsupported version, misaligned sections, out-of-range or overflowing
- * TOC offsets, oversized names, and inconsistent counts all fail with a
- * clear FatalError naming `what` (typically the file path) — never
- * undefined behaviour. Array accessors return pointers that were bounds-
+ * TOC offsets, oversized names, inconsistent counts, and codebook
+ * fields no decode can use (qbits outside [0, 32]; a non-finite or
+ * non-positive scale when qbits > 0) all fail with a clear FatalError
+ * naming `what` (typically the file path) — never undefined behaviour. Array accessors return pointers that were bounds-
  * and alignment-checked against the image during construction.
  *
  * Structural validation is O(layers + groups), independent of model
@@ -228,6 +244,12 @@ class MvqiView
     std::int64_t codebookCount() const;
     std::int64_t layerCount() const;
     const MvqiCodebook &codebook(std::int64_t i) const;
+    /**
+     * Codebook i dequantized: k*d fp32 in row-major order, each level
+     * decoded by dequantizeLevel. Fatal on a stored level outside the
+     * codebook's qbits range.
+     */
+    std::vector<float> codewords(std::int64_t i) const;
     const MvqiLayer &layer(std::int64_t i) const;
     /** The operand record `group` of a layer. */
     MvqiOperand operand(std::int64_t layer_idx, std::int64_t group) const;
@@ -263,7 +285,7 @@ class MvqiView
  */
 struct MvqiSectionBytes
 {
-    std::int64_t codebooks = 0;   //!< codeword arrays
+    std::int64_t codebooks = 0;   //!< stored codeword arrays
     std::int64_t assignments = 0; //!< per-subvector codeword ids
     std::int64_t mask_codes = 0;  //!< N:M mask codes
     std::int64_t tiles = 0;       //!< tiles, their pools, band_ptr

@@ -147,8 +147,7 @@ deserializeModel(const std::vector<std::uint8_t> &data)
                 const std::int64_t level =
                     static_cast<std::int64_t>(r.get(cb.qbits))
                     - (1ll << (cb.qbits - 1));
-                cb.codewords[i] =
-                    static_cast<float>(level) * cb.scale;
+                cb.codewords[i] = dequantizeLevel(level, cb.scale);
             } else {
                 const std::uint32_t vb =
                     static_cast<std::uint32_t>(r.get(32));

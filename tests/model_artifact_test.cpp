@@ -4,11 +4,13 @@
  * (reconstructed tensors and forward outputs memcmp-equal under the
  * active MVQ_SIMD ISA), the `.mvq` open converting to an in-memory
  * image, borrowed-view vs owned-operand forward identity,
- * operand sharing/caching, mapping lifetime, the aligned-heap fallback,
- * the checked-in golden fixture pinning MVQI format v3 byte-for-byte, and
- * the `.mvq` stream rebuilding that fixture exactly.
+ * operand sharing/caching, mapping and table lifetime, the aligned-heap
+ * fallback, codebook levels round-tripping bit for bit at every stored
+ * width, the writer refusing off-grid codewords, the checked-in golden
+ * fixture pinning MVQI format v4 byte-for-byte, and the `.mvq` stream
+ * rebuilding that fixture exactly.
  *
- * Regenerate the v3 fixture (after an *intentional* format change — bump
+ * Regenerate the v4 fixture (after an *intentional* format change — bump
  * kMvqiVersion!) with:  MVQ_WRITE_GOLDEN=1 ./model_artifact_test
  */
 
@@ -18,9 +20,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "common/env.hpp"
 #include "common/logging.hpp"
+#include "core/codebook.hpp"
 #include "core/io/model_artifact.hpp"
 #include "core/serialize.hpp"
 #include "mvqi_test_util.hpp"
@@ -136,42 +140,61 @@ TEST_F(ModelArtifactTest, RoundTripForwardBitIdentity)
                                     forwardLayer(*m, 1, 2, 6)));
 }
 
+/** True when [p, p + bytes) lies inside the artifact's image. */
+template <typename T>
+bool
+insideImage(const io::ModelArtifact &art, const OperandArray<T> &a)
+{
+    const auto *base = art.view().data();
+    const auto *p = reinterpret_cast<const std::uint8_t *>(a.data());
+    return a.empty()
+        || (p >= base && p + a.size() * sizeof(T) <= base + art.view().size());
+}
+
 TEST_F(ModelArtifactTest, BorrowedViewsAliasTheImageZeroCopy)
 {
     // Both opens serve borrowed views: into the mapping for the image,
     // into the converted in-memory image for the stream.
-    for (const std::string &path : {image_path_, stream_path_}) {
+    CompressedModel one_book = model_;
+    one_book.layers[1].codebook_id = 0; // two layers on one codebook
+    one_book.layers[1].cfg.k = 16;
+    const std::string shared_path = tmpPath("mvq_artifact_shared.mvqi");
+    io::saveArtifact(one_book, shared_path, io::ArtifactFormat::Mvqi,
+                     goldenWriteOptions());
+    for (const std::string &path : {image_path_, stream_path_, shared_path}) {
         const auto art = io::openArtifact(path);
-        const auto *base = art->view().data();
-        const auto *end = base + art->view().size();
         for (std::int64_t i = 0; i < art->layerCount(); ++i) {
             const io::SharedOperands ops = art->packedOperands(i);
+            const std::int64_t book = art->view().layer(i).codebook_id;
+            const io::CodebookTable table = art->codebookTable(book);
             for (const GroupedSparseMatrix &g : *ops) {
-                // Borrowed mode, and every array points into the image —
-                // no packGroupedRows at borrow time, no copies.
+                // Borrowed mode, and every operand array points into the
+                // image — no packGroupedRows at borrow time, no copies.
                 EXPECT_TRUE(g.remainder.row_ptr.borrowed()) << path;
                 EXPECT_TRUE(g.remainder.col_idx.borrowed()) << path;
-                EXPECT_TRUE(g.table().borrowed()) << path;
                 EXPECT_TRUE(g.tiles.borrowed()) << path;
                 EXPECT_TRUE(g.vals.borrowed()) << path;
                 EXPECT_TRUE(g.band_ptr.borrowed()) << path;
-                const auto *p = reinterpret_cast<const std::uint8_t *>(
-                    g.remainder.row_ptr.data());
-                EXPECT_TRUE(p >= base && p <= end) << path;
-                // The value table is the layer's codebook section.
-                const io::MvqiCodebook &cb = art->view().codebook(
-                    art->view().layer(i).codebook_id);
-                EXPECT_EQ(reinterpret_cast<const std::uint8_t *>(
-                              g.table().data()),
-                          base + cb.codewords_off)
-                    << path;
-                EXPECT_EQ(static_cast<std::int64_t>(g.table().size()),
-                          cb.k * cb.d)
-                    << path;
+                EXPECT_TRUE(insideImage(*art, g.remainder.row_ptr)) << path;
+                EXPECT_TRUE(insideImage(*art, g.remainder.col_idx)) << path;
+                EXPECT_TRUE(insideImage(*art, g.tiles)) << path;
+                EXPECT_TRUE(insideImage(*art, g.cols)) << path;
+                EXPECT_TRUE(insideImage(*art, g.vals)) << path;
+                EXPECT_TRUE(insideImage(*art, g.band_ptr)) << path;
+                // The value table is the codebook decoded at open: one
+                // table per codebook, whichever layer or group reads it.
+                EXPECT_TRUE(g.table().borrowed()) << path;
+                EXPECT_EQ(g.table().data(), table->data()) << path;
+                EXPECT_EQ(g.table().size(), table->size()) << path;
                 EXPECT_TRUE(g.validated) << path;
             }
         }
+        if (path == shared_path) {
+            EXPECT_EQ((*art->packedOperands(0))[0].table().data(),
+                      (*art->packedOperands(1))[1].table().data());
+        }
     }
+    std::remove(shared_path.c_str());
 }
 
 TEST_F(ModelArtifactTest, BorrowedVsOwnedForwardMemcmp)
@@ -214,22 +237,32 @@ TEST_F(ModelArtifactTest, PackedOperandsAreCachedAndShared)
 
 TEST_F(ModelArtifactTest, SharedOperandsOutliveTheArtifact)
 {
-    // The aliasing shared_ptr keeps the mapping alive after the artifact
-    // handle is gone.
+    // The aliasing shared_ptr keeps the mapping and the decoded codebook
+    // table alive after the artifact handle is gone; the forward reads
+    // both (ASan would flag a freed table), and matches the forward taken
+    // while the artifact was open.
     io::SharedOperands ops;
     Shape ws;
     std::string name;
+    Tensor open_y;
+    Tensor x(Shape({1, 2, 5, 5}));
+    Rng rng(5);
+    x.fillNormal(rng, 0.0f, 1.0f);
     {
         const auto art = io::openArtifact(image_path_);
         ops = art->packedOperands(0);
         ws = art->layerShape(0);
         name = art->layerName(0);
+        open_y = nn::CompressedConv2d(name, ws, ops, 1, 1).forward(x);
     }
+    const Tensor &cw = model_.codebooks[0].codewords;
+    const OperandArray<float> &table = (*ops)[0].table();
+    ASSERT_EQ(static_cast<std::int64_t>(table.size()), cw.numel());
+    EXPECT_EQ(std::memcmp(table.data(), cw.data(),
+                          table.size() * sizeof(float)),
+              0);
     nn::CompressedConv2d conv(name, ws, ops, 1, 1);
-    Tensor x(Shape({1, ws.dim(1), 5, 5}));
-    Rng rng(5);
-    x.fillNormal(rng, 0.0f, 1.0f);
-    EXPECT_GT(conv.forward(x).numel(), 0);
+    EXPECT_TRUE(tensorsBitIdentical(conv.forward(x), open_y));
 }
 
 TEST_F(ModelArtifactTest, HeapFallbackMatchesMmap)
@@ -323,12 +356,110 @@ TEST(MvqiWriter, RejectsGroupsForUnknownLayers)
                         "model does not have", opts);
 }
 
-TEST(MvqiGolden, FixturePinsFormatV3)
+TEST(MvqiWriter, RejectsOffGridCodewords)
 {
-    // Byte-for-byte lock on the checked-in v3 image. If this fails you
+    // The image stores levels, so a quantized codeword that is not
+    // exactly level * scale could not come back: the writer refuses it,
+    // naming the codebook and the codeword.
+    {
+        CompressedModel m = makeGoldenModel();
+        m.codebooks[0].codewords[5] += 0.125f; // half a 0.25 step
+        expectWriterRejects(m, "codebook 0", "codeword 5");
+        expectWriterRejects(m, "codebook 0", "not on its 8-bit grid");
+    }
+    // A level past the qbits range is off the grid too: codeword 16 is
+    // 8 * 0.25, and 4 bits hold [-8, 7].
+    {
+        CompressedModel m = makeGoldenModel();
+        m.codebooks[0].qbits = 4;
+        expectWriterRejects(m, "codebook 0", "codeword 16");
+    }
+    // Levels need a finite scale > 0.
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(), 0.0f,
+                            -0.25f}) {
+        CompressedModel m = makeGoldenModel();
+        m.codebooks[0].scale = bad;
+        expectWriterRejects(m, "codebook 0", "finite scale > 0");
+    }
+    // An unquantized codebook is stored raw: any value goes.
+    CompressedModel m = makeGoldenModel();
+    m.codebooks[1].codewords[3] = 0.1f;
+    EXPECT_NO_THROW(io::buildMvqiImage(m, goldenWriteOptions()));
+}
+
+TEST(MvqiCodebookLevels, RoundTripBitExactAtEveryWidth)
+{
+    // Per stored width (fp32 at qbits 0, int8, int16): the table the
+    // artifact decodes at open is the `.mvq` decode's codewords bit for
+    // bit, and so is the in-memory model quantizeCodebook snapped; the
+    // image's forward memcmp-equals runtime-packed operands under the
+    // active ISA.
+    const std::string path = tmpPath("mvq_levels_roundtrip.mvqi");
+    for (const int qbits : {0, 2, 4, 8, 12, 16}) {
+        SCOPED_TRACE("qbits " + std::to_string(qbits));
+        CompressedModel m = makeGoldenModel();
+        m.layers.resize(1); // conv0 on codebook 0
+        Codebook &cb = m.codebooks[0];
+        Rng rng(77 + static_cast<std::uint64_t>(qbits));
+        cb.codewords.fillNormal(rng, 0.0f, 1.0f);
+        cb.qbits = 0;
+        cb.scale = 0.0f;
+        if (qbits > 0)
+            quantizeCodebook(cb, qbits);
+        const CompressedModel decoded = deserializeModel(serializeModel(m));
+        const Tensor &want = decoded.codebooks[0].codewords;
+        EXPECT_TRUE(tensorsBitIdentical(cb.codewords, want));
+
+        io::saveArtifact(m, path, io::ArtifactFormat::Mvqi);
+        const auto art = io::openArtifact(path);
+        EXPECT_EQ(io::mvqiSectionBytes(art->view()).codebooks,
+                  256 * io::mvqiCodewordBytes(qbits) + 128 * 4);
+        const io::CodebookTable table = art->codebookTable(0);
+        ASSERT_EQ(static_cast<std::int64_t>(table->size()), want.numel());
+        EXPECT_EQ(std::memcmp(table->data(), want.data(),
+                              table->size() * sizeof(float)),
+                  0);
+
+        nn::CompressedConv2d owned(m.layers[0], cb, 1, 1, 1);
+        nn::CompressedConv2d borrowed(art->layerName(0), art->layerShape(0),
+                                      art->packedOperands(0), 1, 1);
+        Tensor x(Shape({2, 2, 6, 6}));
+        x.fillNormal(rng, 0.0f, 1.0f);
+        EXPECT_TRUE(tensorsBitIdentical(owned.forward(x),
+                                        borrowed.forward(x)));
+    }
+    // Past 24 bits a float holds only some levels, and the top level
+    // rounds up to 2^(qbits-1): the writer still finds a level for every
+    // dequantizeLevel value, stored as int32, and the table decodes back
+    // to the model's codewords bit for bit.
+    for (const int qbits : {24, 26, 32}) {
+        SCOPED_TRACE("qbits " + std::to_string(qbits));
+        CompressedModel m = makeGoldenModel();
+        Codebook &cb = m.codebooks[0];
+        cb.qbits = qbits;
+        cb.scale = 0.3f;
+        const std::int64_t half = std::int64_t{1} << (qbits - 1);
+        const std::int64_t levels[] = {-half, -half + 1, half - 2, half - 1,
+                                       (half / 3) | 1, 0};
+        for (std::int64_t i = 0; i < cb.codewords.numel(); ++i)
+            cb.codewords[i] = dequantizeLevel(levels[i % 6], cb.scale);
+        io::saveArtifact(m, path, io::ArtifactFormat::Mvqi);
+        const auto art = io::openArtifact(path);
+        EXPECT_EQ(io::mvqiSectionBytes(art->view()).codebooks,
+                  256 * 4 + 128 * 4);
+        EXPECT_EQ(std::memcmp(art->codebookTable(0)->data(),
+                              cb.codewords.data(), 256 * sizeof(float)),
+                  0);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(MvqiGolden, FixturePinsFormatV4)
+{
+    // Byte-for-byte lock on the checked-in v4 image. If this fails you
     // changed the on-disk layout: bump kMvqiVersion, update
     // docs/FORMAT.md, and regenerate with MVQ_WRITE_GOLDEN=1.
-    const std::string golden_path = goldenPath("golden_v3.mvqi");
+    const std::string golden_path = goldenPath("golden_v4.mvqi");
     const std::vector<std::uint8_t> image =
         io::buildMvqiImage(makeGoldenModel(), goldenWriteOptions());
 
@@ -343,14 +474,14 @@ TEST(MvqiGolden, FixturePinsFormatV3)
     const std::vector<std::uint8_t> golden = readBytes(golden_path);
     ASSERT_EQ(image.size(), golden.size());
     EXPECT_EQ(std::memcmp(image.data(), golden.data(), image.size()), 0)
-        << "MVQI writer output drifted from the v3 fixture";
+        << "MVQI writer output drifted from the v4 fixture";
 }
 
-TEST(MvqiGolden, StreamRebuildsTheV3Fixture)
+TEST(MvqiGolden, StreamRebuildsTheV4Fixture)
 {
     // The route a rejected image's message names: the model through its
     // `.mvq` stream, reopened and written as an image at the golden
-    // groups, is the v3 fixture byte for byte. Every float of the model
+    // groups, is the v4 fixture byte for byte. Every float of the model
     // is k * 2^-2, so the stream round trip is exact.
     const std::string stream_path = tmpPath("mvq_golden_rebuild.mvq");
     const std::string image_path = tmpPath("mvq_golden_rebuild.mvqi");
@@ -358,7 +489,7 @@ TEST(MvqiGolden, StreamRebuildsTheV3Fixture)
                      io::ArtifactFormat::Stream);
     io::saveArtifact(io::openArtifact(stream_path)->model(), image_path,
                      io::ArtifactFormat::Mvqi, goldenWriteOptions());
-    EXPECT_EQ(readBytes(image_path), readBytes(goldenPath("golden_v3.mvqi")));
+    EXPECT_EQ(readBytes(image_path), readBytes(goldenPath("golden_v4.mvqi")));
     std::remove(stream_path.c_str());
     std::remove(image_path.c_str());
 }
@@ -367,26 +498,24 @@ TEST(MvqiGolden, SectionsSumToTheFileSize)
 {
     // `mvqi info`'s split: every byte in exactly one section kind.
     const std::vector<std::uint8_t> bytes =
-        readBytes(goldenPath("golden_v3.mvqi"));
+        readBytes(goldenPath("golden_v4.mvqi"));
     const io::MvqiView view(bytes.data(),
                             static_cast<std::int64_t>(bytes.size()),
-                            "golden_v3");
+                            "golden_v4");
     const io::MvqiSectionBytes s = io::mvqiSectionBytes(view);
     EXPECT_EQ(s.total(), view.size());
-    // 16-bit symbols, 112-byte records (one group in layer 0, two in
-    // layer 1), and one 4-byte word per kept weight, or a 2-byte index
-    // inside a tile.
+    // Codewords as int8 levels (qbits 8) or raw fp32 (qbits 0), 16-bit
+    // symbols, 112-byte records (one group in layer 0, two in layer 1),
+    // and one 4-byte word per kept weight, or a 2-byte index inside a
+    // tile.
     const CompressedModel m = makeGoldenModel();
     std::int64_t ng = 0;
     std::int64_t codes = 0;
-    std::int64_t codewords = 0;
     for (const CompressedLayer &cl : m.layers) {
         ng += cl.ng();
         codes += cl.ng() * (cl.cfg.d / cl.cfg.pattern.m);
     }
-    for (const Codebook &cb : m.codebooks)
-        codewords += cb.codewords.numel();
-    EXPECT_EQ(s.codebooks, codewords * 4);
+    EXPECT_EQ(s.codebooks, 16 * 16 * 1 + 8 * 16 * 4);
     EXPECT_EQ(s.assignments, ng * 2);
     EXPECT_EQ(s.mask_codes, codes * 2);
     EXPECT_EQ(s.records, 64 + 2 * 48 + 2 * 200 + 3 * 112);

@@ -6,8 +6,11 @@
  * never an escaped PanicError. The targeted cases pin one diagnostic each
  * (truncation, bad magic, any version but the one written, misaligned
  * sections, out-of-range TOC, inconsistent counts, a truncated operand
- * record table, packed entries whose column or codebook index is out of
- * range or whose columns do not ascend, mask codes past C(M,N),
+ * record table, codebook fields no decode can use (qbits outside
+ * [0, 32], a NaN/infinite/non-positive scale, a codeword section whose
+ * extent at the qbits-derived width runs off the file, a level outside
+ * the qbits range), packed entries whose column or codebook index is
+ * out of range or whose columns do not ascend, mask codes past C(M,N),
  * assignments past their codebook, subvector counts the kernel shape
  * contradicts); the deterministic byte-flip sweep over the image the
  * writer emits is the fuzz-style pass the ASan/UBSan CI job runs over
@@ -19,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "common/fault.hpp"
@@ -180,7 +184,7 @@ TEST_F(MvqiCorruptionTest, WrongVersion)
     // records behind the header look like: the older layouts, the next
     // one, one far past it, and zero. The message names the file and the
     // rebuild from its `.mvq` stream.
-    for (const std::uint32_t v : {0u, 1u, 2u, 4u, 10u}) {
+    for (const std::uint32_t v : {0u, 1u, 2u, 3u, 5u, 10u}) {
         ASSERT_NE(v, io::kMvqiVersion);
         std::vector<std::uint8_t> img = validImage();
         std::memcpy(img.data() + 4, &v, sizeof(v));
@@ -284,6 +288,81 @@ TEST_F(MvqiCorruptionTest, MaskCodeCountOverflowRejected)
                 &huge_d, sizeof(huge_d));
     writeBytes(img);
     expectFatal("mask-code count");
+}
+
+/** Byte offset of codebook `i`'s TOC entry field at `field_off`. */
+std::size_t
+codebookField(const std::vector<std::uint8_t> &img, std::size_t i,
+              std::size_t field_off)
+{
+    io::MvqiHeader h;
+    std::memcpy(&h, img.data(), sizeof(h));
+    return h.codebook_toc_off + i * sizeof(io::MvqiCodebook) + field_off;
+}
+
+TEST_F(MvqiCorruptionTest, CodebookQbitsOutOfRangeRejected)
+{
+    const std::size_t at =
+        codebookField(validImage(), 0, offsetof(io::MvqiCodebook, qbits));
+    for (const std::int32_t q : {-1, 33, 1 << 30}) {
+        patchU32(at, static_cast<std::uint32_t>(q));
+        expectFatal("codebook 0 has invalid qbits " + std::to_string(q));
+    }
+}
+
+TEST_F(MvqiCorruptionTest, CodebookScaleRejected)
+{
+    // Codebook 0 is quantized (qbits 8): a NaN or infinite scale would
+    // decode every codeword to a non-finite value and poison every
+    // output without a crash; zero or a negative scale is no grid.
+    const std::size_t at =
+        codebookField(validImage(), 0, offsetof(io::MvqiCodebook, scale));
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(), 0.0f,
+                            -0.25f}) {
+        patch(at, &bad, sizeof(bad));
+        expectFatal("codebook 0 has invalid scale");
+    }
+    // Codebook 1 stores raw fp32 (qbits 0): its scale is never read.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    patch(codebookField(validImage(), 1, offsetof(io::MvqiCodebook, scale)),
+          &nan, sizeof(nan));
+    EXPECT_NO_THROW(loadAndUse());
+}
+
+TEST_F(MvqiCorruptionTest, CodewordExtentCheckedAtTheQbitsWidth)
+{
+    // Move codebook 0 (16 x 16 int8 levels, 256 B) to the last 64-byte
+    // boundary where 256 B still fit. At qbits 8 that is in bounds; at
+    // qbits 16 the same levels are 2-byte (512 B) and run off the file.
+    std::vector<std::uint8_t> img = validImage();
+    const std::uint64_t off = (img.size() - 256) / 64 * 64;
+    ASSERT_GT(off + 512, img.size());
+    std::memcpy(img.data()
+                    + codebookField(img, 0,
+                                    offsetof(io::MvqiCodebook,
+                                             codewords_off)),
+                &off, sizeof(off));
+    EXPECT_NO_THROW(io::MvqiView(img.data(),
+                                 static_cast<std::int64_t>(img.size()),
+                                 "moved codebook"));
+    const std::int32_t q16 = 16;
+    std::memcpy(img.data()
+                    + codebookField(img, 0, offsetof(io::MvqiCodebook, qbits)),
+                &q16, sizeof(q16));
+    writeBytes(img);
+    expectFatal("codewords section (256 x 2 bytes");
+}
+
+TEST_F(MvqiCorruptionTest, CodewordLevelPastQbitsRejected)
+{
+    // Codebook 0's levels are -8..8 in int8 slots. Relabelled as 4-bit
+    // (still one byte each), level 8 is outside [-8, 7]: the decode at
+    // open refuses it instead of serving a value the writer never could.
+    const std::int32_t q4 = 4;
+    patch(codebookField(validImage(), 0, offsetof(io::MvqiCodebook, qbits)),
+          &q4, sizeof(q4));
+    expectFatal("has level 8, outside the 4-bit range [-8, 7]");
 }
 
 TEST_F(MvqiCorruptionTest, FileSizeFieldMismatch)

@@ -3,8 +3,9 @@
  * Structure-aware mutation fuzzer for MVQI images. Where the byte-flip
  * sweep in mvqi_corruption_test XORs bytes at a stride, this test knows
  * the layout: it enumerates every offset, count and length field of the
- * header, the codebook and layer TOCs and every operand record of the
- * image the writer emits, then applies 1-3
+ * header, the codebook and layer TOCs (with each codebook's qbits and
+ * scale, which size and decode its levels) and every operand record of
+ * the image the writer emits, then applies 1-3
  * seeded mutations per iteration — zero, all-ones, off by one, off by one
  * element or alignment unit, doubled, pointed at or just short of the end
  * of the file, another field's value, a random bit flip — sometimes
@@ -89,6 +90,10 @@ structuralFields(const std::vector<std::uint8_t> &img)
         const std::string n = "codebook" + std::to_string(i);
         f.push_back({base + offsetof(io::MvqiCodebook, k), 8, n + ".k"});
         f.push_back({base + offsetof(io::MvqiCodebook, d), 8, n + ".d"});
+        f.push_back({base + offsetof(io::MvqiCodebook, qbits), 4,
+                     n + ".qbits"});
+        f.push_back({base + offsetof(io::MvqiCodebook, scale), 4,
+                     n + ".scale"});
         f.push_back({base + offsetof(io::MvqiCodebook, codewords_off), 8,
                      n + ".codewords_off"});
     }
