@@ -28,6 +28,10 @@ compiler nor clang-tidy sees them):
      (the byte-pinned golden model). Benches and tests that need a
      synthetic compressed model call models::synthesizeCompressed
      instead of hand-rolling its symbols.
+  7. sparse-api  — src/tensor/ops.hpp declares no gemmSparseA* entry
+     point taking a SparseRowMatrix except the gemmSparseAReference
+     oracle: the grouped operand (GroupedSparseMatrix) is the one
+     sparse-A gemm API, and a second one must not grow back.
 
 Run from anywhere inside the repo (ctest runs it as `mvq_lint`); use
 --selftest to run the checks against tests/lint_fixtures/ and assert
@@ -55,6 +59,8 @@ DISPATCH_TABLES = {
     "src/common/simd_neon.cpp": "kNeonKernels",
 }
 SYNTH_ALLOWED = {"tests/mvqi_test_util.hpp"}
+OPS_HPP = "src/tensor/ops.hpp"
+SPARSE_ORACLE = "gemmSparseAReference"
 FIXTURE_DIR = "tests/lint_fixtures"
 CODE_SUFFIXES = (".cpp", ".hpp")
 CODE_DIRS = ("src/", "tests/", "bench/", "examples/")
@@ -73,6 +79,7 @@ GUARD_DEFINE_RE = re.compile(r"^\s*#define\s+(\w+)", re.MULTILINE)
 GETENV_RE = re.compile(r"\b(?:std::)?(?:getenv|setenv|unsetenv|putenv)\s*\(")
 RAND_RE = re.compile(r"\b(?:std::)?s?rand\s*\(")
 PRINTF_RE = re.compile(r"\bprintf\s*\(")
+SPARSE_DECL_RE = re.compile(r"\b(gemmSparseA\w*)\s*\(([^()]*)\)")
 SYNTH_RE = re.compile(
     r"(?:\.|->)\s*(?:assignments|mask_codes)\s*\.\s*(?:push|emplace)_back"
     r"\s*\(")
@@ -245,6 +252,17 @@ def check_synth_symbols(path: str, text: str) -> list[str]:
             for m in SYNTH_RE.finditer(text)]
 
 
+def check_sparse_api(path: str, text: str) -> list[str]:
+    if path != OPS_HPP:
+        return []
+    return [f"{path}:{line_of(text, m.start())}: '{m.group(1)}' takes a "
+            "SparseRowMatrix; GroupedSparseMatrix is the one sparse-A gemm "
+            f"operand ({SPARSE_ORACLE} is the only exception)"
+            for m in SPARSE_DECL_RE.finditer(text)
+            if m.group(1) != SPARSE_ORACLE
+            and re.search(r"\bSparseRowMatrix\b", m.group(2))]
+
+
 # --------------------------------------------------------- repo driver
 
 def code_files(files: list[str]) -> list[str]:
@@ -290,6 +308,7 @@ def lint_repo(root: Path) -> list[str]:
             errors.extend(check_header_guard(rel, text))
         errors.extend(check_banned(rel, text))
         errors.extend(check_synth_symbols(rel, text))
+        errors.extend(check_sparse_api(rel, text))
 
     for rel, table in DISPATCH_TABLES.items():
         text = strip_comments(read_rel(root, rel))
@@ -327,6 +346,9 @@ def selftest(root: Path) -> int:
         "bad_synth.cpp": (
             "bench/bad_synth.cpp",
             lambda p, t: check_synth_symbols(p, t)),
+        "bad_sparse_api.hpp": (
+            OPS_HPP,
+            lambda p, t: check_sparse_api(p, t)),
     }
     failures = []
     fixture_root = root / FIXTURE_DIR
@@ -347,10 +369,15 @@ def selftest(root: Path) -> int:
     good = ('#ifndef MVQ_TENSOR_GOOD_HPP\n#define MVQ_TENSOR_GOOD_HPP\n'
             'namespace mvq { inline int mmHelper() { return 0; } }\n'
             '#endif // MVQ_TENSOR_GOOD_HPP\n')
+    good_ops = ("void gemmSparseA(const GroupedSparseMatrix &a,\n"
+                "                 const Tensor &b, Tensor &c);\n"
+                "void gemmSparseAReference(const SparseRowMatrix &a,\n"
+                "                          const Tensor &b, Tensor &c);\n")
     noise = (check_intrinsics("src/tensor/good.hpp", good)
              + check_banned("src/tensor/good.hpp", good)
              + check_header_guard("src/tensor/good.hpp", good)
-             + check_synth_symbols("tests/good.cpp", good))
+             + check_synth_symbols("tests/good.cpp", good)
+             + check_sparse_api(OPS_HPP, good_ops))
     if noise:
         failures.append("clean snippet falsely flagged: " + noise[0])
 

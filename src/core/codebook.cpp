@@ -1,6 +1,9 @@
 #include "core/codebook.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "common/logging.hpp"
 
@@ -18,6 +21,37 @@ quantizeValue(float v, float scale, int qbits)
 
 namespace {
 
+/**
+ * The level in [lo, hi] that dequantizeLevel decodes to exactly `v`, if
+ * there is one. The rounded quotient v / scale is that level up to 2^24;
+ * past it a float holds only every 2nd, 4th, ... integer, so the level
+ * may sit one float step away, and the top level may round up to
+ * 2^(qbits-1) itself: the neighbours of the quotient's float are tried
+ * too, clamped into range.
+ */
+std::optional<std::int64_t>
+gridLevel(float v, float scale, std::int64_t lo, std::int64_t hi)
+{
+    const double q =
+        std::round(static_cast<double>(v) / static_cast<double>(scale));
+    // Also rejects NaN, and keeps the integer conversion defined.
+    if (!(q >= 2.0 * static_cast<double>(lo) - 2.0
+          && q <= 2.0 * static_cast<double>(hi) + 2.0))
+        return std::nullopt;
+    const auto c = static_cast<std::int64_t>(q);
+    const float f = static_cast<float>(c);
+    const float inf = std::numeric_limits<float>::infinity();
+    for (const std::int64_t cand :
+         {c, c - 1, c + 1,
+          static_cast<std::int64_t>(std::nextafter(f, -inf)),
+          static_cast<std::int64_t>(std::nextafter(f, inf))}) {
+        const std::int64_t level = std::clamp(cand, lo, hi);
+        if (dequantizeLevel(level, scale) == v)
+            return level;
+    }
+    return std::nullopt;
+}
+
 double
 quantMse(const Tensor &cw, float scale, int qbits)
 {
@@ -31,6 +65,37 @@ quantMse(const Tensor &cw, float scale, int qbits)
 }
 
 } // namespace
+
+std::pair<std::int64_t, std::int64_t>
+levelRange(int qbits)
+{
+    const std::int64_t half = std::int64_t{1} << (qbits - 1);
+    return {-half, half - 1};
+}
+
+std::vector<std::int32_t>
+encodeLevels(const Codebook &cb, std::size_t id)
+{
+    fatalIf(cb.qbits < 1 || cb.qbits > 32, "codebook ", id,
+            " has invalid qbits ", cb.qbits);
+    fatalIf(!std::isfinite(cb.scale) || cb.scale <= 0.0f, "codebook ", id,
+            " is quantized (qbits ", cb.qbits, ") with scale ", cb.scale,
+            "; its levels need a finite scale > 0");
+    const auto [lo, hi] = levelRange(cb.qbits);
+    const float *cw = cb.codewords.data();
+    std::vector<std::int32_t> levels(
+        static_cast<std::size_t>(cb.codewords.numel()));
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+        const std::optional<std::int64_t> level =
+            gridLevel(cw[i], cb.scale, lo, hi);
+        if (!level)
+            fatal("codebook ", id, ": codeword ", i, " = ", cw[i],
+                  " is not on its ", cb.qbits, "-bit grid of step ",
+                  cb.scale, " (snap it with requantizeCodebook)");
+        levels[i] = static_cast<std::int32_t>(*level);
+    }
+    return levels;
+}
 
 float
 quantizeCodebook(Codebook &cb, int qbits)

@@ -9,7 +9,9 @@
 #ifndef MVQ_CORE_CODEBOOK_HPP
 #define MVQ_CORE_CODEBOOK_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -45,6 +47,20 @@ dequantizeLevel(std::int64_t level, float scale)
 {
     return static_cast<float>(level) * scale;
 }
+
+/** Smallest and largest signed level a qbits-bit codeword holds. */
+std::pair<std::int64_t, std::int64_t> levelRange(int qbits);
+
+/**
+ * The one level encoder, shared by the `.mvq` stream writer and the MVQI
+ * writer: every codeword of a quantized codebook (qbits != 0) as the
+ * level in levelRange(qbits) that dequantizeLevel decodes back to it
+ * exactly, so a written codebook loses nothing. FatalError naming
+ * codebook `id` when qbits is outside [1, 32], the scale is not finite
+ * and > 0, or a codeword has no such level (off its grid, or past the
+ * top level; requantizeCodebook snaps it).
+ */
+std::vector<std::int32_t> encodeLevels(const Codebook &cb, std::size_t id);
 
 /**
  * Symmetric uniform quantization of v with scale s and qb bits:

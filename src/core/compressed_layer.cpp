@@ -125,19 +125,6 @@ packRowRange(const CompressedLayer &layer, const Mask &mask,
 
 } // namespace
 
-SparseRowMatrix
-CompressedLayer::packSparseRows(const Codebook &cb) const
-{
-    fatalIf(weight_shape.rank() != 4,
-            name, ": packSparseRows expects a 4-D kernel shape");
-    fatalIf(cb.d() != cfg.d, name, ": codebook d ", cb.d(),
-            " != layer d ", cfg.d);
-    checkPackLimits(*this, cb);
-    const Mask mask = decodeMask();
-    return packRowRange(*this, mask, codebookTable(cb), 0,
-                        weight_shape.dim(0));
-}
-
 std::vector<GroupedSparseMatrix>
 CompressedLayer::packGroupedRows(const Codebook &cb,
                                  std::int64_t groups) const

@@ -99,29 +99,21 @@ struct CompressedLayer
     Tensor reconstruct(const Codebook &cb) const;
 
     /**
-     * Decode straight into the sparse gemm operand: a per-row
-     * compressed-column (CSR) view of the unrolled [K, C*R*S] weight
-     * matrix holding only the positions the stored mask codes keep. Each
-     * kept entry indexes `cb`'s codewords (assignment * d + lane), which
-     * the operand holds as its value table. FatalError when the layer
-     * exceeds the packed-entry limits (K >= 2^16 or k*d > 2^16). The N:M structure makes those
-     * positions statically known per M-group, so this is built once at
-     * load time and reused for every forward pass (see
-     * nn::CompressedConv2d) — inference never touches pruned positions,
-     * realizing the N/M flop reduction the accelerator sim models.
-     */
-    SparseRowMatrix packSparseRows(const Codebook &cb) const;
-
-    /**
-     * packSparseRows split per convolution group and bucketed for the
-     * multi-row sparse kernel: each group's row range [grp*K/groups,
-     * (grp+1)*K/groups) of the unrolled weight matrix packs directly into
-     * its own GroupedSparseMatrix (no full-operand pack + slice copy),
-     * with rows sharing a kept-column pattern tiled together
-     * (groupSparseRows; block size follows the layer's M so buckets align
-     * with mask-code granularity). Every group shares one copy of the
-     * codebook as its value table. Built once at load time — the bucket
-     * structure is a property of the stored mask codes, not of any input.
+     * Decode straight into the sparse gemm operands, one per convolution
+     * group: group grp's row range [grp*K/groups, (grp+1)*K/groups) of
+     * the unrolled [K, C*R*S] weight matrix packs directly into its own
+     * GroupedSparseMatrix holding only the positions the stored mask
+     * codes keep, with rows sharing a kept-column pattern tiled together
+     * for the multi-row sparse kernel (groupSparseRows; block size
+     * follows the layer's M so buckets align with mask-code
+     * granularity). Each kept entry indexes `cb`'s codewords (assignment
+     * * d + lane), which every group shares as one value table. FatalError
+     * when the layer exceeds the packed-entry limits (K >= 2^16 or
+     * k*d > 2^16). The N:M structure makes the kept positions statically
+     * known per M-group, so this is built once at load time and reused
+     * for every forward pass (see nn::CompressedConv2d) — inference
+     * never touches pruned positions, realizing the N/M flop reduction
+     * the accelerator sim models.
      */
     std::vector<GroupedSparseMatrix>
     packGroupedRows(const Codebook &cb, std::int64_t groups = 1) const;

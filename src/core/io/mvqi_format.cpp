@@ -7,7 +7,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <type_traits>
 
 #include "common/env.hpp"
@@ -175,50 +174,10 @@ narrowTo(const std::vector<From> &v)
     return out;
 }
 
-/** Smallest and largest signed level a qbits-bit codeword holds. */
-std::pair<std::int64_t, std::int64_t>
-levelRange(std::int32_t qbits)
-{
-    const std::int64_t half = std::int64_t{1} << (qbits - 1);
-    return {-half, half - 1};
-}
-
-/**
- * The level in [lo, hi] that dequantizeLevel decodes to exactly `v`, if
- * there is one. The rounded quotient v / scale is that level up to 2^24;
- * past it a float holds only every 2nd, 4th, ... integer, so the level
- * may sit one float step away, and the top level may round up to
- * 2^(qbits-1) itself: the neighbours of the quotient's float are tried
- * too, clamped into range.
- */
-std::optional<std::int64_t>
-gridLevel(float v, float scale, std::int64_t lo, std::int64_t hi)
-{
-    const double q =
-        std::round(static_cast<double>(v) / static_cast<double>(scale));
-    // Also rejects NaN, and keeps the integer conversion defined.
-    if (!(q >= 2.0 * static_cast<double>(lo) - 2.0
-          && q <= 2.0 * static_cast<double>(hi) + 2.0))
-        return std::nullopt;
-    const auto c = static_cast<std::int64_t>(q);
-    const float f = static_cast<float>(c);
-    const float inf = std::numeric_limits<float>::infinity();
-    for (const std::int64_t cand :
-         {c, c - 1, c + 1,
-          static_cast<std::int64_t>(std::nextafter(f, -inf)),
-          static_cast<std::int64_t>(std::nextafter(f, inf))}) {
-        const std::int64_t level = std::clamp(cand, lo, hi);
-        if (dequantizeLevel(level, scale) == v)
-            return level;
-    }
-    return std::nullopt;
-}
-
 /**
  * Append codebook `id`'s codewords as the image stores them: raw fp32
- * when unquantized, otherwise signed levels at mvqiCodewordBytes(qbits),
- * each checked to decode back (dequantizeLevel) to the exact codeword so
- * the image loses nothing. Returns the section offset.
+ * when unquantized, otherwise signed levels (encodeLevels) at
+ * mvqiCodewordBytes(qbits). Returns the section offset.
  */
 std::uint64_t
 appendCodewords(ImageBuilder &b, const Codebook &cb, std::size_t id)
@@ -227,23 +186,7 @@ appendCodewords(ImageBuilder &b, const Codebook &cb, std::size_t id)
     const std::int64_t n = cb.codewords.numel();
     if (cb.qbits == 0)
         return b.appendRaw(cw, n, kMvqiAlign);
-    fatalIf(cb.qbits < 0 || cb.qbits > 32, "codebook ", id,
-            " has invalid qbits ", cb.qbits);
-    fatalIf(!std::isfinite(cb.scale) || cb.scale <= 0.0f, "codebook ", id,
-            " is quantized (qbits ", cb.qbits, ") with scale ", cb.scale,
-            "; its levels need a finite scale > 0");
-    const auto [lo, hi] = levelRange(cb.qbits);
-    std::vector<std::int32_t> levels(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-        const std::optional<std::int64_t> level =
-            gridLevel(cw[i], cb.scale, lo, hi);
-        if (!level)
-            fatal("codebook ", id, ": codeword ", i, " = ", cw[i],
-                  " is not on its ", cb.qbits, "-bit grid of step ",
-                  cb.scale, " (snap it with requantizeCodebook)");
-        levels[static_cast<std::size_t>(i)] =
-            static_cast<std::int32_t>(*level);
-    }
+    const std::vector<std::int32_t> levels = encodeLevels(cb, id);
     switch (mvqiCodewordBytes(cb.qbits)) {
       case 1:
         return b.appendRaw(narrowTo<std::int8_t>(levels).data(), n,

@@ -15,8 +15,8 @@
  * themselves live once, in the layer's codebook, which the reader
  * dequantizes once at open into the value table every operand of the
  * layer shares. Loading is therefore mmap + validate + one k*d decode
- * per codebook: no bit-stream decode, no packSparseRows/packGroupedRows,
- * and N server processes share one read-only page-cached image.
+ * per codebook: no bit-stream decode, no packGroupedRows, and N server
+ * processes share one read-only page-cached image.
  *
  * The reader accepts exactly the version the writer emits. An image is a
  * build product of its `.mvq` stream, so a format bump means a rebuild

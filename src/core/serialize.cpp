@@ -53,8 +53,9 @@ serializeModel(const CompressedModel &model)
     w.put(model.layers.size(), 16);
 
     // Codebooks: k, d, qbits, scale (raw fp32 bits), then codewords as
-    // signed levels at qbits (or raw fp32 when unquantized).
-    for (const auto &cb : model.codebooks) {
+    // offset-binary levels at qbits (or raw fp32 when unquantized).
+    for (std::size_t b = 0; b < model.codebooks.size(); ++b) {
+        const Codebook &cb = model.codebooks[b];
         w.put(static_cast<std::uint64_t>(cb.k()), 24);
         w.put(static_cast<std::uint64_t>(cb.d()), 16);
         w.put(static_cast<std::uint64_t>(cb.qbits), 8);
@@ -62,19 +63,18 @@ serializeModel(const CompressedModel &model)
         static_assert(sizeof(float) == 4);
         std::memcpy(&scale_bits, &cb.scale, 4);
         w.put(scale_bits, 32);
-        for (std::int64_t i = 0; i < cb.codewords.numel(); ++i) {
-            if (cb.qbits > 0) {
-                const std::int64_t level = static_cast<std::int64_t>(
-                    std::llround(cb.codewords[i] / cb.scale));
+        if (cb.qbits != 0) {
+            for (const std::int32_t level : encodeLevels(cb, b))
                 w.put(static_cast<std::uint64_t>(
                           level + (1ll << (cb.qbits - 1))),
                       cb.qbits);
-            } else {
-                std::uint32_t vb = 0;
-                const float v = cb.codewords[i];
-                std::memcpy(&vb, &v, 4);
-                w.put(vb, 32);
-            }
+            continue;
+        }
+        for (std::int64_t i = 0; i < cb.codewords.numel(); ++i) {
+            std::uint32_t vb = 0;
+            const float v = cb.codewords[i];
+            std::memcpy(&vb, &v, 4);
+            w.put(vb, 32);
         }
     }
 

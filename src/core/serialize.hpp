@@ -68,7 +68,11 @@ class BitReader
     std::int64_t pos = 0; //!< bit cursor
 };
 
-/** Serialize a compressed model to a byte buffer. */
+/**
+ * Serialize a compressed model to a byte buffer. Quantized codewords are
+ * written as their levels (encodeLevels), so the stream is lossless;
+ * FatalError for a codebook whose codewords are off its grid.
+ */
 std::vector<std::uint8_t> serializeModel(const CompressedModel &model);
 
 /** Inverse of serializeModel; fatal on a malformed buffer. */

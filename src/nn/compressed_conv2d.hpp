@@ -1,20 +1,20 @@
 /**
  * @file
  * Inference path that consumes a compressed layer directly: the stored
- * N:M mask codes are decoded ONCE at construction into a per-row
- * compressed-column gemm operand (core::CompressedLayer::packSparseRows),
- * and every forward pass runs a fused-packing sparse-A gemm over it
- * (gemmSparseAIm2col: convolution patches pack straight from the input
- * image into gemm B panels, no intermediate cols tensor) — pruned
- * positions are never multiplied, so the 4:16 MAC reduction the paper's
- * accelerator gets from its AND-gate weight loader is realized on the CPU
- * too. The operand is additionally bucketed by kept-column pattern
- * (core::CompressedLayer::packGroupedRows) so rows sharing an N:M mask
- * code run through the multi-row kernel, one B-panel load feeding several
- * output channels. That is the layer's one forward path; the
- * materializing im2col + sparse gemm composition survives only as the
- * tests' oracle (tensor/ops.hpp). Contrast with CompressedModel::applyTo,
- * which densifies the kernel and pays the full dense gemm.
+ * N:M mask codes are decoded ONCE at construction into one sparse gemm
+ * operand per convolution group (core::CompressedLayer::packGroupedRows),
+ * rows sharing a kept-column pattern bucketed into multi-row tiles and
+ * the rest kept as a compressed-row remainder. Every forward pass runs
+ * the fused-packing sparse-A gemm over it (gemmSparseAIm2col:
+ * convolution patches pack straight from the input image into gemm B
+ * panels, no intermediate cols tensor) — pruned positions are never
+ * multiplied, so the 4:16 MAC reduction the paper's accelerator gets
+ * from its AND-gate weight loader is realized on the CPU too, and a tile
+ * feeds one B-panel load to several output channels. That is the
+ * layer's one forward path; the materializing im2col + sparse gemm
+ * composition survives only as the tests' oracle (tensor/ops.hpp).
+ * Contrast with CompressedModel::applyTo, which densifies the kernel and
+ * pays the full dense gemm.
  */
 
 #ifndef MVQ_NN_COMPRESSED_CONV2D_HPP

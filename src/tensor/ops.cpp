@@ -660,9 +660,8 @@ groupSparseRows(SparseRowMatrix rows, std::int64_t m_block,
  * One (jc, k0) block of the single-row sparse pass: every row of `a`
  * slices its entry range against [k0, k0 + kc) and streams the packed
  * panels through the per-ISA single-row kernel. MC row blocks run in
- * parallel over disjoint C rows. Shared by the single-row driver (whole
- * operand) and the grouped driver (remainder entries), so the fallback
- * path is literally the same code.
+ * parallel over disjoint C rows. The grouped driver runs it on the
+ * remainder entries — for a tile-free operand, the whole operand.
  */
 void
 sparseRowsKcPass(const SparseRowMatrix &a, std::int64_t k0, std::int64_t kc,
@@ -731,47 +730,8 @@ sparseRowsKcPass(const SparseRowMatrix &a, std::int64_t k0, std::int64_t kc,
 }
 
 /**
- * The blocked sparse-A macro-driver shared by gemmSparseARaw (dense B,
- * packB) and gemmSparseAIm2col (virtual B, packBFromIm2col). beta has
- * already been applied to C and the operand validated by the caller.
- */
-void
-gemmSparseBlockedDriver(const SparseRowMatrix &a, std::int64_t n,
-                        float alpha, const PackBFn &pack_b, float *pc,
-                        std::int64_t ldc)
-{
-    const std::int64_t k = a.cols;
-
-    const simd::Kernels &kn = simd::kernels();
-    const std::int64_t nr = kn.nr;
-
-    const std::int64_t kc_max = std::min(KC, k);
-    const std::int64_t nc_max = std::min(NC, n);
-    std::vector<float> bpack(static_cast<std::size_t>(
-        kc_max * ((nc_max + nr - 1) / nr) * nr));
-
-    // Same loop nest as the dense driver: jc/kc sequential so every C
-    // element accumulates its KC blocks in a fixed order, MC row blocks in
-    // parallel over disjoint C rows — bit-identical for any thread count
-    // within an ISA. The A side needs no packing at all: the compressed
-    // rows *are* the packed format, built once from the mask codes; each
-    // row block only slices its entry range per KC block (the indices are
-    // ascending, so two binary searches per row per block).
-    for (std::int64_t jc = 0; jc < n; jc += NC) {
-        const std::int64_t nc = std::min(NC, n - jc);
-        const std::int64_t npanels = (nc + nr - 1) / nr;
-        for (std::int64_t k0 = 0; k0 < k; k0 += KC) {
-            const std::int64_t kc = std::min(KC, k - k0);
-            pack_b(k0, jc, kc, nc, nr, bpack.data());
-            sparseRowsKcPass(a, k0, kc, jc, nc, npanels, alpha,
-                             bpack.data(), pc, ldc, kn);
-        }
-    }
-}
-
-/**
- * Structural check of a grouped operand's tile/band layer (the remainder
- * CSR is checked by checkSparseOperand). Like the CSR invariants,
+ * Structural check of a grouped operand: the remainder CSR
+ * (checkSparseOperand), then the tile/band layer. Like the CSR invariants,
  * these are memory safety: the grouped driver binary-searches each tile's
  * shared column list and indexes C rows and the vals/cols pools straight
  * from the tile fields. Builders validate once at pack time; hand-built
@@ -780,6 +740,7 @@ gemmSparseBlockedDriver(const SparseRowMatrix &a, std::int64_t n,
 void
 checkGroupedOperand(const GroupedSparseMatrix &a)
 {
+    checkSparseOperand(a.remainder);
     const std::int64_t ncols_pool =
         static_cast<std::int64_t>(a.cols.size());
     const std::int64_t nvals_pool =
@@ -835,16 +796,116 @@ checkGroupedOperand(const GroupedSparseMatrix &a)
 }
 
 /**
- * The blocked multi-row macro-driver behind the GroupedSparseMatrix gemm
- * entry points. Same jc/kc loop nest and packed-B layout as the
- * single-row driver, but K-blocked by kGroupedKC (see the constant for
- * why tile phases want deep K blocks); within a (jc, k0) block the bucket
- * tiles run first — panel-outer, bands in parallel inside each panel
- * (bands touch disjoint C rows; a band's tiles run sequentially) — then
- * the remainder entries run through the unchanged single-row pass. Tile
- * phase then remainder phase is a fixed order per C element, so the
- * thread-count determinism contract carries over. beta has already been
- * applied to C and the operand validated by the caller.
+ * One (jc, k0) block of the tile phase: each tile slices its shared
+ * column list against [k0, k0 + kc) and runs through the per-ISA
+ * multi-row kernel, its rows scattered into C. Bands run in parallel
+ * over disjoint C rows, a band's tiles sequentially.
+ */
+void
+sparseTilesKcPass(const GroupedSparseMatrix &a, std::int64_t k0,
+                  std::int64_t kc, std::int64_t jc, std::int64_t nc,
+                  std::int64_t npanels, float alpha, const float *bpack,
+                  float *pc, std::int64_t ldc, const simd::Kernels &kn)
+{
+    const std::int64_t nr = kn.nr;
+    // Per-tile slice of the shared column list against the K block (two
+    // binary searches per tile, like the per-row slicing of
+    // sparseRowsKcPass). With kGroupedKC covering typical conv
+    // reductions whole, the common case is one K block whose slice is
+    // the entire shared column list.
+    const std::int64_t ntiles = static_cast<std::int64_t>(a.tiles.size());
+    const std::int64_t nbands =
+        static_cast<std::int64_t>(a.band_ptr.size()) - 1;
+    std::vector<std::int64_t> tlo(static_cast<std::size_t>(ntiles));
+    std::vector<std::int64_t> tcnt(static_cast<std::size_t>(ntiles));
+    parallelFor(0, ntiles, 64, [&](std::int64_t tb, std::int64_t te) {
+        for (std::int64_t t = tb; t < te; ++t) {
+            const GroupedSparseMatrix::Tile &tl =
+                a.tiles[static_cast<std::size_t>(t)];
+            const std::int32_t *cbase = a.cols.data() + tl.col_off;
+            const std::int32_t *lo = std::lower_bound(
+                cbase, cbase + tl.ncols, static_cast<std::int32_t>(k0));
+            const std::int32_t *hi = std::lower_bound(
+                lo, cbase + tl.ncols, static_cast<std::int32_t>(k0 + kc));
+            tlo[static_cast<std::size_t>(t)] = lo - cbase;
+            tcnt[static_cast<std::size_t>(t)] = hi - lo;
+        }
+    });
+
+    // Active tiles per band for this K block, as a flat CSR so the panel
+    // loop below doesn't rescan tcnt per panel.
+    std::vector<std::int64_t> act_tiles;
+    std::vector<std::int64_t> act_ptr{0};
+    act_tiles.reserve(static_cast<std::size_t>(ntiles));
+    act_ptr.reserve(static_cast<std::size_t>(nbands) + 1);
+    for (std::int64_t b = 0; b < nbands; ++b) {
+        for (std::int64_t t = a.band_ptr[static_cast<std::size_t>(b)];
+             t < a.band_ptr[static_cast<std::size_t>(b + 1)]; ++t) {
+            if (tcnt[static_cast<std::size_t>(t)] != 0)
+                act_tiles.push_back(t);
+        }
+        act_ptr.push_back(static_cast<std::int64_t>(act_tiles.size()));
+    }
+
+    // Panel-outer, bands-inner: one packed panel is consumed by every
+    // band before moving on, so the panel stays cache-hot across bands
+    // (bands have no intra-band B reuse to exploit — a block's bucket
+    // column sets are disjoint — the only reuse is ACROSS bands). The
+    // value/column streams re-read per panel stream sequentially, which
+    // the hardware prefetcher hides; the band-outer nest that would read
+    // them only once measures ~20% slower on AVX2 because it loses the
+    // hot panel. Each tile's K-block contribution is one kernel call +
+    // one scatter, so the per-C-element accumulation order is
+    // independent of both the loop nest and the thread count.
+    for (std::int64_t q = 0; q < npanels; ++q) {
+        const float *bp = bpack + q * kc * nr;
+        const std::int64_t cols = std::min(nr, nc - q * nr);
+        parallelFor(0, nbands, 1, [&](std::int64_t bb, std::int64_t be) {
+            float acc[kSparseTileMaxRows * simd::kMaxGemmNr];
+            for (std::int64_t i = act_ptr[static_cast<std::size_t>(bb)];
+                 i < act_ptr[static_cast<std::size_t>(be)]; ++i) {
+                const std::int64_t t =
+                    act_tiles[static_cast<std::size_t>(i)];
+                const GroupedSparseMatrix::Tile &tl =
+                    a.tiles[static_cast<std::size_t>(t)];
+                const std::int64_t lo = tlo[static_cast<std::size_t>(t)];
+                kn.gemmSparseMultiRowMicroKernel(
+                    a.table().data(), a.vals.data() + tl.val_off + lo,
+                    tl.ncols, tl.nrows, a.cols.data() + tl.col_off + lo,
+                    tcnt[static_cast<std::size_t>(t)], k0, bp, nr, acc);
+                // x * 1.0f == x bitwise, so the alpha == 1 branch is a
+                // pure fast path (drops a multiply per scattered element).
+                for (std::int32_t r = 0; r < tl.nrows; ++r) {
+                    float *crow = pc + tl.row[r] * ldc + jc + q * nr;
+                    const float *arow = acc + r * nr;
+                    if (alpha == 1.0f) {
+                        for (std::int64_t cidx = 0; cidx < cols; ++cidx)
+                            crow[cidx] += arow[cidx];
+                    } else {
+                        for (std::int64_t cidx = 0; cidx < cols; ++cidx)
+                            crow[cidx] += alpha * arow[cidx];
+                    }
+                }
+            }
+        });
+    }
+}
+
+/**
+ * The one blocked sparse-A macro-driver, behind every GroupedSparseMatrix
+ * gemm entry point. jc/kc loop nest as in the dense driver, B panels
+ * packed once per (jc, k0) block; within a block the bucket tiles run
+ * first — panel-outer, bands in parallel inside each panel (bands touch
+ * disjoint C rows; a band's tiles run sequentially) — then the remainder
+ * entries through sparseRowsKcPass. Tile phase then remainder phase is a
+ * fixed order per C element, so results are bit-identical for any thread
+ * count. The operand picks the blocking: a tiled one takes K blocks of
+ * kGroupedKC and N strips sized by kGroupedNcBudget (see the constants);
+ * a tile-free one is pure remainder rows, which re-read each packed panel
+ * row after row like dense A rows do, so it keeps the dense KC/NC
+ * blocking — and with it the K-block summation order of its output.
+ * beta has already been applied to C and the operand validated by the
+ * caller.
  */
 void
 gemmSparseGroupedBlockedDriver(const GroupedSparseMatrix &a, std::int64_t n,
@@ -856,139 +917,32 @@ gemmSparseGroupedBlockedDriver(const GroupedSparseMatrix &a, std::int64_t n,
     const simd::Kernels &kn = simd::kernels();
     const std::int64_t nr = kn.nr;
 
-    const std::int64_t kc_max = std::min(kGroupedKC, k);
-    const std::int64_t nc_blk = std::min<std::int64_t>(
-        NC,
-        std::max<std::int64_t>(nr, kGroupedNcBudget / kc_max / nr * nr));
+    const bool tiled = !a.tiles.empty();
+    const std::int64_t kc_blk = tiled ? kGroupedKC : KC;
+    const std::int64_t kc_max = std::min(kc_blk, k);
+    const std::int64_t nc_blk = tiled
+        ? std::min<std::int64_t>(
+              NC, std::max<std::int64_t>(
+                      nr, kGroupedNcBudget / kc_max / nr * nr))
+        : NC;
     // Uninitialized on purpose: pack_b overwrites every panel byte the
-    // drivers read, and the deep grouped K block makes this buffer large
+    // driver reads, and the deep grouped K block makes this buffer large
     // enough (a megabyte-plus) that a vector's zero-fill shows up in
     // profiles.
     const std::int64_t nc_max = std::min(nc_blk, n);
     std::unique_ptr<float[]> bpack(new float[static_cast<std::size_t>(
         kc_max * ((nc_max + nr - 1) / nr) * nr)]);
 
-    // Per-tile slice of the shared column list against the current K
-    // block, computed once per k0 (two binary searches per tile, exactly
-    // like the per-row slicing of the single-row driver). With
-    // kGroupedKC covering typical conv reductions whole, the common case
-    // is one K block whose slice is the entire shared column list.
-    const std::int64_t ntiles = static_cast<std::int64_t>(a.tiles.size());
-    const std::int64_t nbands =
-        static_cast<std::int64_t>(a.band_ptr.size()) - 1;
-    std::vector<std::int64_t> tlo(static_cast<std::size_t>(ntiles));
-    std::vector<std::int64_t> tcnt(static_cast<std::size_t>(ntiles));
-    std::vector<std::int64_t> act_tiles;
-    std::vector<std::int64_t> act_ptr;
-    act_tiles.reserve(static_cast<std::size_t>(ntiles));
-    act_ptr.reserve(static_cast<std::size_t>(nbands) + 1);
-
     for (std::int64_t jc = 0; jc < n; jc += nc_blk) {
         const std::int64_t nc = std::min(nc_blk, n - jc);
         const std::int64_t npanels = (nc + nr - 1) / nr;
-        for (std::int64_t k0 = 0; k0 < k; k0 += kGroupedKC) {
-            const std::int64_t kc = std::min(kGroupedKC, k - k0);
+        for (std::int64_t k0 = 0; k0 < k; k0 += kc_blk) {
+            const std::int64_t kc = std::min(kc_blk, k - k0);
             pack_b(k0, jc, kc, nc, nr, bpack.get());
 
-            parallelFor(0, ntiles, 64,
-                        [&](std::int64_t tb, std::int64_t te) {
-                for (std::int64_t t = tb; t < te; ++t) {
-                    const GroupedSparseMatrix::Tile &tl =
-                        a.tiles[static_cast<std::size_t>(t)];
-                    const std::int32_t *cbase =
-                        a.cols.data() + tl.col_off;
-                    const std::int32_t *lo = std::lower_bound(
-                        cbase, cbase + tl.ncols,
-                        static_cast<std::int32_t>(k0));
-                    const std::int32_t *hi = std::lower_bound(
-                        lo, cbase + tl.ncols,
-                        static_cast<std::int32_t>(k0 + kc));
-                    tlo[static_cast<std::size_t>(t)] = lo - cbase;
-                    tcnt[static_cast<std::size_t>(t)] = hi - lo;
-                }
-            });
-
-            // Active tiles per band for this K block, as a flat CSR so
-            // the panel loop below doesn't rescan tcnt per panel.
-            act_ptr.assign(1, 0);
-            act_tiles.clear();
-            for (std::int64_t b = 0; b < nbands; ++b) {
-                for (std::int64_t t = a.band_ptr
-                         [static_cast<std::size_t>(b)];
-                     t < a.band_ptr[static_cast<std::size_t>(b + 1)]; ++t) {
-                    if (tcnt[static_cast<std::size_t>(t)] != 0)
-                        act_tiles.push_back(t);
-                }
-                act_ptr.push_back(
-                    static_cast<std::int64_t>(act_tiles.size()));
-            }
-
-            // Panel-outer, bands-inner: one packed panel is consumed by
-            // every band before moving on, so the panel stays cache-hot
-            // across bands (bands have no intra-band B reuse to exploit —
-            // a block's bucket column sets are disjoint — the only reuse
-            // is ACROSS bands). The value/column streams re-read per
-            // panel stream sequentially, which the hardware prefetcher
-            // hides; the band-outer nest that would read them only once
-            // measures ~20% slower on AVX2 because it loses the hot
-            // panel. Bands touch disjoint C rows, so they run in
-            // parallel; each tile's K-block contribution is still one
-            // kernel call + one scatter, so the per-C-element
-            // accumulation order is independent of both the loop nest
-            // and the thread count.
-            for (std::int64_t q = 0; q < npanels; ++q) {
-                const float *bp = bpack.get() + q * kc * nr;
-                const std::int64_t cols = std::min(nr, nc - q * nr);
-                parallelFor(0, nbands, 1,
-                            [&](std::int64_t bb, std::int64_t be) {
-                    float acc[kSparseTileMaxRows * simd::kMaxGemmNr];
-                    for (std::int64_t b = bb; b < be; ++b) {
-                        for (std::int64_t i = act_ptr
-                                 [static_cast<std::size_t>(b)];
-                             i < act_ptr[static_cast<std::size_t>(b + 1)];
-                             ++i) {
-                            const std::int64_t t = act_tiles
-                                [static_cast<std::size_t>(i)];
-                            const GroupedSparseMatrix::Tile &tl =
-                                a.tiles[static_cast<std::size_t>(t)];
-                            const std::int64_t lo =
-                                tlo[static_cast<std::size_t>(t)];
-                            kn.gemmSparseMultiRowMicroKernel(
-                                a.table().data(),
-                                a.vals.data() + tl.val_off + lo,
-                                tl.ncols, tl.nrows,
-                                a.cols.data() + tl.col_off + lo,
-                                tcnt[static_cast<std::size_t>(t)], k0, bp,
-                                nr, acc);
-                            // x * 1.0f == x bitwise, so the alpha == 1
-                            // branch is a pure fast path (drops a
-                            // multiply per scattered element).
-                            if (alpha == 1.0f) {
-                                for (std::int32_t r = 0; r < tl.nrows;
-                                     ++r) {
-                                    float *crow = pc + tl.row[r] * ldc
-                                        + jc + q * nr;
-                                    const float *arow = acc + r * nr;
-                                    for (std::int64_t cidx = 0;
-                                         cidx < cols; ++cidx)
-                                        crow[cidx] += arow[cidx];
-                                }
-                            } else {
-                                for (std::int32_t r = 0; r < tl.nrows;
-                                     ++r) {
-                                    float *crow = pc + tl.row[r] * ldc
-                                        + jc + q * nr;
-                                    const float *arow = acc + r * nr;
-                                    for (std::int64_t cidx = 0;
-                                         cidx < cols; ++cidx)
-                                        crow[cidx] += alpha * arow[cidx];
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-
+            if (tiled)
+                sparseTilesKcPass(a, k0, kc, jc, nc, npanels, alpha,
+                                  bpack.get(), pc, ldc, kn);
             if (a.remainder.nnz() != 0)
                 sparseRowsKcPass(a.remainder, k0, kc, jc, nc, npanels,
                                  alpha, bpack.get(), pc, ldc, kn);
@@ -997,47 +951,8 @@ gemmSparseGroupedBlockedDriver(const GroupedSparseMatrix &a, std::int64_t n,
 }
 
 void
-gemmSparseARaw(const SparseRowMatrix &a, const float *pb, std::int64_t ldb,
-               std::int64_t n, float alpha, float beta, float *pc,
-               std::int64_t ldc)
-{
-    if (!a.validated)
-        checkSparseOperand(a);
-    const std::int64_t m = a.rows;
-
-    scaleCRows(pc, m, n, ldc, beta);
-    if (m == 0 || n == 0 || a.nnz() == 0)
-        return;
-
-    // Small problems: panel packing overhead dominates. The threshold is
-    // in *useful* multiply-adds, which for the sparse operand is nnz * n.
-    if (a.nnz() * n <= kGemmScalarFallbackMacs) {
-        sparseRowScanRaw(a, pb, ldb, n, alpha, pc, ldc);
-        return;
-    }
-
-    gemmSparseBlockedDriver(
-        a, n, alpha,
-        [&](std::int64_t k0, std::int64_t j0, std::int64_t kc,
-            std::int64_t nc, std::int64_t nr, float *bp) {
-            packB(pb, ldb, false, k0, j0, kc, nc, nr, bp);
-        },
-        pc, ldc);
-}
-
-void
-gemmSparseA(const SparseRowMatrix &a, const Tensor &b, Tensor &c,
-            float alpha, float beta)
-{
-    checkSparseGemmShapes(a, b, c, "gemmSparseA");
-    gemmSparseARaw(a, b.data(), b.dim(1), b.dim(1), alpha, beta, c.data(),
-                   b.dim(1));
-}
-
-void
 validateGroupedOperand(GroupedSparseMatrix &a)
 {
-    checkSparseOperand(a.remainder);
     checkGroupedOperand(a);
     a.remainder.validated = true;
     a.validated = true;
@@ -1048,23 +963,21 @@ gemmSparseARaw(const GroupedSparseMatrix &a, const float *pb,
                std::int64_t ldb, std::int64_t n, float alpha, float beta,
                float *pc, std::int64_t ldc)
 {
-    // A tile-free operand's remainder is the whole CSR, entry for entry:
-    // the single-row entry point on it is the exact code the ungrouped
-    // path runs, so results are bit-identical. Anything tiled takes the
-    // grouped driver at every problem size.
-    if (a.tiles.empty()) {
-        gemmSparseARaw(a.remainder, pb, ldb, n, alpha, beta, pc, ldc);
-        return;
-    }
-    if (!a.validated) {
-        checkSparseOperand(a.remainder);
+    if (!a.validated)
         checkGroupedOperand(a);
-    }
     const std::int64_t m = a.rows.rows;
 
     scaleCRows(pc, m, n, ldc, beta);
-    if (m == 0 || n == 0)
+    if (m == 0 || n == 0 || a.rows.nnz() == 0)
         return;
+
+    // Small tile-free problems: panel packing overhead dominates. The
+    // threshold is in *useful* multiply-adds, nnz * n. Tiled operands
+    // take the driver at every size (their tile phase is the point).
+    if (a.tiles.empty() && a.rows.nnz() * n <= kGemmScalarFallbackMacs) {
+        sparseRowScanRaw(a.remainder, pb, ldb, n, alpha, pc, ldc);
+        return;
+    }
 
     gemmSparseGroupedBlockedDriver(
         a, n, alpha,
@@ -1314,65 +1227,31 @@ gemmIm2colRaw(std::int64_t m, float alpha, const float *pa,
 }
 
 void
-gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b, float alpha,
-                  float beta, float *pc, std::int64_t ldc)
-{
-    if (!a.validated)
-        checkSparseOperand(a);
-    checkConvOutputDims(b.g, "gemmSparseAIm2col");
-    panicIf(a.cols != b.rows(), "gemmSparseAIm2col inner dims mismatch: ",
-            a.cols, " vs ", b.rows());
-    const std::int64_t m = a.rows;
-    const std::int64_t k = b.rows();
-    const std::int64_t n = b.cols();
-
-    scaleCRows(pc, m, n, ldc, beta);
-    if (m == 0 || n == 0 || a.nnz() == 0)
-        return;
-
-    // Same crossover as gemmSparseARaw, same materialize fallback as the
-    // unfused composition — bit-identity holds on both sides.
-    if (a.nnz() * n <= kGemmScalarFallbackMacs) {
-        std::vector<float> cols(static_cast<std::size_t>(k * n));
-        im2colInto(b, cols.data());
-        sparseRowScanRaw(a, cols.data(), n, n, alpha, pc, ldc);
-        return;
-    }
-
-    gemmSparseBlockedDriver(
-        a, n, alpha,
-        [&](std::int64_t k0, std::int64_t j0, std::int64_t kc,
-            std::int64_t nc, std::int64_t nr, float *bp) {
-            packBFromIm2col(b, k0, j0, kc, nc, nr, bp);
-        },
-        pc, ldc);
-}
-
-void
 gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
                   float alpha, float beta, float *pc, std::int64_t ldc)
 {
-    // Same forwarding rule as the grouped gemmSparseARaw: nothing tiled
-    // -> the single-row entry point on the remainder (the whole operand),
-    // bit-identical to the ungrouped path.
-    if (a.tiles.empty()) {
-        gemmSparseAIm2col(a.remainder, b, alpha, beta, pc, ldc);
-        return;
-    }
-    if (!a.validated) {
-        checkSparseOperand(a.remainder);
+    if (!a.validated)
         checkGroupedOperand(a);
-    }
     checkConvOutputDims(b.g, "gemmSparseAIm2col");
     panicIf(a.rows.cols != b.rows(),
             "gemmSparseAIm2col inner dims mismatch: ", a.rows.cols, " vs ",
             b.rows());
     const std::int64_t m = a.rows.rows;
+    const std::int64_t k = b.rows();
     const std::int64_t n = b.cols();
 
     scaleCRows(pc, m, n, ldc, beta);
-    if (m == 0 || n == 0)
+    if (m == 0 || n == 0 || a.rows.nnz() == 0)
         return;
+
+    // Same crossover as gemmSparseARaw, same materialize fallback as the
+    // unfused composition — bit-identity holds on both sides.
+    if (a.tiles.empty() && a.rows.nnz() * n <= kGemmScalarFallbackMacs) {
+        std::vector<float> cols(static_cast<std::size_t>(k * n));
+        im2colInto(b, cols.data());
+        sparseRowScanRaw(a.remainder, cols.data(), n, n, alpha, pc, ldc);
+        return;
+    }
 
     gemmSparseGroupedBlockedDriver(
         a, n, alpha,

@@ -125,10 +125,12 @@ entryIndex(std::uint32_t w)
 }
 
 /**
- * Per-row compressed-column (CSR) operand for gemmSparseA. For MVQ
+ * Per-row compressed-column (CSR) sparse operand: the untiled entries
+ * (remainder) of a GroupedSparseMatrix, the input groupSparseRows
+ * buckets, and the operand of the gemmSparseAReference oracle. For MVQ
  * weights the N:M mask makes the kept positions statically known per
  * M-group, so the operand is built once (from the stored mask codes, see
- * core::CompressedLayer::packSparseRows) and reused for every forward
+ * core::CompressedLayer::packGroupedRows) and reused for every forward
  * pass — the pack stage of the sparse gemm never touches pruned
  * positions.
  *
@@ -156,8 +158,10 @@ struct SparseRowMatrix
     /**
      * Set by validateSparseOperand once the structural invariants (row_ptr
      * coverage, ascending in-range columns, in-range table indices) have
-     * been checked. The gemm entry points trust a validated operand and
-     * skip their O(nnz) re-check — the pack stage runs once, the forward
+     * been checked. groupSparseRows and gemmSparseAReference trust a
+     * validated operand and skip their O(nnz) re-check (GroupedSparseMatrix
+     * has its own flag for the gemm entry points) — the pack stage runs
+     * once, the forward
      * pass runs per inference, so validation belongs with the pack.
      * Hand-built operands start unvalidated and are still checked (and
      * panic) per call.
@@ -199,8 +203,7 @@ struct SparseRowMatrix
  * Check the structural invariants of a compressed-row operand (row_ptr
  * size/monotone/coverage, entry columns strictly ascending within each
  * row and in [0, cols), table indices below values.size()) and mark it
- * validated, so the gemm entry points skip the
- * O(nnz) re-check on every call. Panics (PanicError) on violation. The
+ * validated, so its consumers skip the O(nnz) re-check on every call. Panics (PanicError) on violation. The
  * invariants are memory safety, not just correctness: the blocked driver
  * binary-searches each row's index range and the micro-kernels index
  * packed B rows with kidx - k0.
@@ -350,41 +353,26 @@ GroupedSparseMatrix groupSparseRows(SparseRowMatrix rows,
                                     std::int64_t min_cols = 8);
 
 /**
- * Grouped-operand forms of the sparse-A gemm entry points. When tiles are
- * present, the blocked driver walks buckets instead of rows: per
- * (jc, k0) block each band's tiles run through the per-ISA multi-row
- * micro-kernel (one shared B-row load per tile) and the remainder rows
- * through the single-row kernel, in a fixed order per C element —
- * bit-identical for any thread count within an ISA, and within 1e-4 of
- * gemmSparseAReference. Tile-free operands forward to the
- * SparseRowMatrix overloads on a.remainder (then the whole operand),
- * reproducing the single-row path bit-for-bit; operands with tiles always
- * take the grouped driver, whatever the problem size.
+ * Sparse-A GEMM: C = alpha * A * B + beta * C with A a grouped sparse
+ * operand and B/C dense. A cache-blocked, B-panel-packed driver like
+ * gemm()'s, but the A side is consumed in its compressed form: only kept
+ * entries are walked, so flops scale with nnz (a 4:16 operand does ~1/4
+ * the multiplies of the dense path). Per (jc, k0) block each band's
+ * tiles run through the per-ISA multi-row micro-kernel (one shared B-row
+ * load per tile), then the remainder rows through the single-row kernel
+ * (simd::Kernels::gemmSparseMicroKernel), in a fixed order per C element
+ * — bit-identical for any thread count within an ISA, and within 1e-4 of
+ * gemmSparseAReference. The operand, not a knob, picks the blocking: a
+ * tiled operand takes deep K blocks at every problem size; a tile-free
+ * one takes the dense KC blocking, and at nnz * n <=
+ * kGemmScalarFallbackMacs a plain row scan.
  */
 void gemmSparseA(const GroupedSparseMatrix &a, const Tensor &b, Tensor &c,
                  float alpha = 1.0f, float beta = 0.0f);
 
-/** Raw-pointer form of the grouped gemmSparseA (see gemmSparseARaw). */
+/** Raw-pointer form of gemmSparseA: B is a.rows.cols x n (row stride
+ *  ldb), C is a.rows.rows x n (row stride ldc). */
 void gemmSparseARaw(const GroupedSparseMatrix &a, const float *b,
-                    std::int64_t ldb, std::int64_t n, float alpha,
-                    float beta, float *c, std::int64_t ldc);
-
-/**
- * Sparse-A GEMM: C = alpha * A * B + beta * C with A in compressed-row
- * form and B/C dense. Runs the same KC/NC cache-blocked, B-panel-packed
- * driver as gemm(), but the A side consumes the compressed rows directly:
- * only kept entries are walked, their column indices steering the per-ISA
- * sparse micro-kernel (simd::Kernels::gemmSparseMicroKernel) to the
- * matching packed B rows. Flops scale with nnz, so a 4:16 operand does
- * ~1/4 the multiplies of the dense path. Deterministic across thread
- * counts within an ISA, like gemm().
- */
-void gemmSparseA(const SparseRowMatrix &a, const Tensor &b, Tensor &c,
-                 float alpha = 1.0f, float beta = 0.0f);
-
-/** Raw-pointer form of gemmSparseA: B is a.cols x n (row stride ldb), C
- *  is a.rows x n (row stride ldc). */
-void gemmSparseARaw(const SparseRowMatrix &a, const float *b,
                     std::int64_t ldb, std::int64_t n, float alpha,
                     float beta, float *c, std::int64_t ldc);
 
@@ -505,23 +493,14 @@ void gemmIm2colRaw(std::int64_t m, float alpha, const float *a,
 
 /**
  * Sparse-A conv forward gemm with the B operand produced on the fly:
- * C = alpha * A * im2col(b) + beta * C with A in compressed-row form
- * (a.cols must equal b.rows()). Same blocked sparse driver as
- * gemmSparseARaw with packB replaced by packBFromIm2col — bit-identical
- * to the unfused im2col + gemmSparseARaw composition for any ISA and
- * thread count. This is the payoff path: PR3 measured gemmSparseA's gap
- * to the ideal N/M flop cut to be B-side memory traffic, and the fusion
- * removes the cols tensor's write+read round trip entirely.
- */
-void gemmSparseAIm2col(const SparseRowMatrix &a, const Im2colB &b,
-                       float alpha, float beta, float *c, std::int64_t ldc);
-
-/**
- * Grouped-operand form of gemmSparseAIm2col: the multi-row bucket walk
- * with B panels packed straight from the input image — the one conv
- * forward path of nn::CompressedConv2d. Forwards to the single-row fused
- * path (bit-identical) when the operand has no tiles or the problem is
- * below the scalar crossover.
+ * C = alpha * A * im2col(b) + beta * C (a.rows.cols must equal
+ * b.rows()) — the one conv forward path of nn::CompressedConv2d. Same
+ * blocked driver as gemmSparseARaw with packB replaced by
+ * packBFromIm2col, and the same small-problem crossover with a
+ * materialized im2col, so it is bit-identical to the unfused im2col +
+ * gemmSparseARaw composition for any ISA and thread count. The fusion
+ * removes the cols tensor's write+read round trip, the B-side memory
+ * traffic that separated the sparse gemm from the ideal N/M flop cut.
  */
 void gemmSparseAIm2col(const GroupedSparseMatrix &a, const Im2colB &b,
                        float alpha, float beta, float *c, std::int64_t ldc);

@@ -1,10 +1,10 @@
 #include "vq/uniform_quant.hpp"
 
-#include <cmath>
 #include <numeric>
 #include <unordered_map>
 
 #include "common/logging.hpp"
+#include "core/codebook.hpp"
 #include "nn/loss.hpp"
 #include "nn/network.hpp"
 #include "nn/optimizer.hpp"
@@ -13,23 +13,13 @@ namespace mvq::vq {
 
 namespace {
 
-float
-quantizeValue(float v, float scale, int bits)
-{
-    const float qmax = static_cast<float>((1 << (bits - 1)) - 1);
-    const float qmin = -static_cast<float>(1 << (bits - 1));
-    float q = std::round(v / scale);
-    q = std::min(std::max(q, qmin), qmax);
-    return q * scale;
-}
-
 double
 quantMse(const Tensor &w, float scale, int bits)
 {
     double err = 0.0;
     for (std::int64_t i = 0; i < w.numel(); ++i) {
         const double d = static_cast<double>(w[i])
-            - static_cast<double>(quantizeValue(w[i], scale, bits));
+            - static_cast<double>(core::quantizeValue(w[i], scale, bits));
         err += d * d;
     }
     return err;
@@ -60,7 +50,7 @@ uniformQuantize(Tensor &w, int bits)
         }
     }
     for (std::int64_t i = 0; i < w.numel(); ++i)
-        w[i] = quantizeValue(w[i], best_scale, bits);
+        w[i] = core::quantizeValue(w[i], best_scale, bits);
     return best_scale;
 }
 
@@ -132,7 +122,7 @@ steFinetune(nn::Layer &model, const std::vector<nn::Conv2d *> &targets,
                 Tensor q = w;
                 const float s = scales.at(conv);
                 for (std::int64_t i = 0; i < q.numel(); ++i)
-                    q[i] = quantizeValue(q[i], s, opts.bits);
+                    q[i] = core::quantizeValue(q[i], s, opts.bits);
                 conv->setWeight(q);
             }
             other_opt.step(other_params);

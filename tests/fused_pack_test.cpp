@@ -62,6 +62,16 @@ masked416Matrix(std::uint64_t seed, std::int64_t rows, std::int64_t cols)
     return core::randomNmMatrix(rng, rows, cols, core::NmPattern{4, 16});
 }
 
+/** The tile-free grouped operand of a 4:16 matrix: min_cols past any
+ *  bucket keeps every entry in the single-row remainder. */
+GroupedSparseMatrix
+tileFree(const Tensor &a)
+{
+    GroupedSparseMatrix g = groupSparseRows(sparsifyRows(a), 16, 1 << 20);
+    EXPECT_TRUE(g.tiles.empty());
+    return g;
+}
+
 void
 expectClose(const Tensor &ref, const Tensor &got, const char *what)
 {
@@ -231,6 +241,7 @@ TEST(FusedPack, SparseMatchesUnfusedAndOracleAllIsas)
     const std::int64_t n = g.outH() * g.outW();
     Tensor a = masked416Matrix(52, 32, k);
     const SparseRowMatrix sp = sparsifyRows(a);
+    const GroupedSparseMatrix op = tileFree(a);
     ASSERT_GT(sp.nnz() * n, kGemmScalarFallbackMacs);
 
     // Oracle: unblocked reference scan over the materialized cols.
@@ -241,10 +252,10 @@ TEST(FusedPack, SparseMatchesUnfusedAndOracleAllIsas)
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
         Tensor c_unfused(Shape({32, n}));
-        gemmSparseARaw(sp, cols.data(), n, n, 1.0f, 0.0f, c_unfused.data(),
+        gemmSparseARaw(op, cols.data(), n, n, 1.0f, 0.0f, c_unfused.data(),
                        n);
         Tensor c_fused(Shape({32, n}));
-        gemmSparseAIm2col(sp, Im2colB{x.data(), g}, 1.0f, 0.0f,
+        gemmSparseAIm2col(op, Im2colB{x.data(), g}, 1.0f, 0.0f,
                           c_fused.data(), n);
         expectBitIdentical(c_unfused, c_fused, simd::isaName(isa));
         expectClose(c_oracle, c_fused, simd::isaName(isa));
@@ -259,17 +270,17 @@ TEST(FusedPack, SparseSmallProblemFallbackBitIdentical)
     const std::int64_t k = g.in_c * g.k_h * g.k_w; // 144: multiple of M=16
     const std::int64_t n = g.outH() * g.outW();
     Tensor a = masked416Matrix(62, 4, k);
-    const SparseRowMatrix sp = sparsifyRows(a);
-    ASSERT_LE(sp.nnz() * n, kGemmScalarFallbackMacs);
+    const GroupedSparseMatrix op = tileFree(a);
+    ASSERT_LE(op.rows.nnz() * n, kGemmScalarFallbackMacs);
 
     const Tensor cols = im2col(x, 0, g);
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
         Tensor c_unfused(Shape({4, n}));
-        gemmSparseARaw(sp, cols.data(), n, n, 1.0f, 0.0f, c_unfused.data(),
+        gemmSparseARaw(op, cols.data(), n, n, 1.0f, 0.0f, c_unfused.data(),
                        n);
         Tensor c_fused(Shape({4, n}));
-        gemmSparseAIm2col(sp, Im2colB{x.data(), g}, 1.0f, 0.0f,
+        gemmSparseAIm2col(op, Im2colB{x.data(), g}, 1.0f, 0.0f,
                           c_fused.data(), n);
         expectBitIdentical(c_unfused, c_fused, simd::isaName(isa));
     }
@@ -286,20 +297,19 @@ TEST(FusedPack, ThreadCountDeterministicPerIsa)
     Rng rng(72);
     Tensor a(Shape({32, k}));
     a.fillNormal(rng, 0.0f, 1.0f);
-    Tensor am = masked416Matrix(73, 32, k);
-    const SparseRowMatrix sp = sparsifyRows(am);
+    const GroupedSparseMatrix op = tileFree(masked416Matrix(73, 32, k));
 
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
         setNumThreads(1);
         const Tensor d1 = denseFused(a, x, g);
         Tensor s1(Shape({32, n}));
-        gemmSparseAIm2col(sp, Im2colB{x.data(), g}, 1.0f, 0.0f, s1.data(),
+        gemmSparseAIm2col(op, Im2colB{x.data(), g}, 1.0f, 0.0f, s1.data(),
                           n);
         setNumThreads(4);
         const Tensor d4 = denseFused(a, x, g);
         Tensor s4(Shape({32, n}));
-        gemmSparseAIm2col(sp, Im2colB{x.data(), g}, 1.0f, 0.0f, s4.data(),
+        gemmSparseAIm2col(op, Im2colB{x.data(), g}, 1.0f, 0.0f, s4.data(),
                           n);
         expectBitIdentical(d1, d4, simd::isaName(isa));
         expectBitIdentical(s1, s4, simd::isaName(isa));
@@ -323,13 +333,10 @@ TEST(FusedPack, DegenerateGeometryPanics)
                                4),
                  PanicError);
 
-    SparseRowMatrix sp;
-    sp.rows = 1;
-    sp.cols = 9;
-    sp.row_ptr = {0, 1};
-    sp.col_idx = {0};
-    sp.values = {1.0f};
-    EXPECT_THROW(gemmSparseAIm2col(sp, b, 1.0f, 0.0f, buf.data(), 4),
+    Tensor a(Shape({1, 9}));
+    a[0] = 1.0f;
+    EXPECT_THROW(gemmSparseAIm2col(tileFree(a), b, 1.0f, 0.0f, buf.data(),
+                                   4),
                  PanicError);
 }
 
@@ -338,15 +345,11 @@ TEST(FusedPack, SparseInnerDimMismatchPanics)
     const ConvGeom g{2, 6, 6, 3, 3, 1, 1};
     std::vector<float> slab(
         static_cast<std::size_t>(g.in_c * g.in_h * g.in_w), 1.0f);
-    SparseRowMatrix sp; // cols = 4 != g rows = 18
-    sp.rows = 1;
-    sp.cols = 4;
-    sp.row_ptr = {0, 1};
-    sp.col_idx = {0};
-    sp.values = {1.0f};
+    Tensor a(Shape({1, 4})); // cols = 4 != g rows = 18
+    a[0] = 1.0f;
     std::vector<float> c(64, 0.0f);
-    EXPECT_THROW(gemmSparseAIm2col(sp, Im2colB{slab.data(), g}, 1.0f, 0.0f,
-                                   c.data(), 36),
+    EXPECT_THROW(gemmSparseAIm2col(tileFree(a), Im2colB{slab.data(), g},
+                                   1.0f, 0.0f, c.data(), 36),
                  PanicError);
 }
 

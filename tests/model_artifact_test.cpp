@@ -307,6 +307,21 @@ expectWriterRejects(const CompressedModel &m, const std::string &layer,
     }
 }
 
+/** Expect the `.mvq` stream writer to fail naming codebook 0 and
+ *  `needle`: it shares the MVQI writer's level encoder (encodeLevels). */
+void
+expectStreamWriterRejects(const CompressedModel &m, const std::string &needle)
+{
+    try {
+        serializeModel(m);
+        FAIL() << "stream writer accepted codebook 0";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("codebook 0"), std::string::npos) << what;
+        EXPECT_NE(what.find(needle), std::string::npos) << what;
+    }
+}
+
 TEST(MvqiWriter, RejectsLayersPastThe16BitLimits)
 {
     // Conv-group gemm K = 4096 * 4 * 4 = 65,536 does not fit a 16-bit
@@ -358,14 +373,15 @@ TEST(MvqiWriter, RejectsGroupsForUnknownLayers)
 
 TEST(MvqiWriter, RejectsOffGridCodewords)
 {
-    // The image stores levels, so a quantized codeword that is not
-    // exactly level * scale could not come back: the writer refuses it,
+    // Both formats store levels, so a quantized codeword that is not
+    // exactly level * scale could not come back: each writer refuses it,
     // naming the codebook and the codeword.
     {
         CompressedModel m = makeGoldenModel();
         m.codebooks[0].codewords[5] += 0.125f; // half a 0.25 step
         expectWriterRejects(m, "codebook 0", "codeword 5");
         expectWriterRejects(m, "codebook 0", "not on its 8-bit grid");
+        expectStreamWriterRejects(m, "codeword 5");
     }
     // A level past the qbits range is off the grid too: codeword 16 is
     // 8 * 0.25, and 4 bits hold [-8, 7].
@@ -373,6 +389,7 @@ TEST(MvqiWriter, RejectsOffGridCodewords)
         CompressedModel m = makeGoldenModel();
         m.codebooks[0].qbits = 4;
         expectWriterRejects(m, "codebook 0", "codeword 16");
+        expectStreamWriterRejects(m, "codeword 16");
     }
     // Levels need a finite scale > 0.
     for (const float bad : {std::numeric_limits<float>::quiet_NaN(), 0.0f,
@@ -380,11 +397,13 @@ TEST(MvqiWriter, RejectsOffGridCodewords)
         CompressedModel m = makeGoldenModel();
         m.codebooks[0].scale = bad;
         expectWriterRejects(m, "codebook 0", "finite scale > 0");
+        expectStreamWriterRejects(m, "finite scale > 0");
     }
     // An unquantized codebook is stored raw: any value goes.
     CompressedModel m = makeGoldenModel();
     m.codebooks[1].codewords[3] = 0.1f;
     EXPECT_NO_THROW(io::buildMvqiImage(m, goldenWriteOptions()));
+    EXPECT_NO_THROW(serializeModel(m));
 }
 
 TEST(MvqiCodebookLevels, RoundTripBitExactAtEveryWidth)
@@ -429,9 +448,10 @@ TEST(MvqiCodebookLevels, RoundTripBitExactAtEveryWidth)
                                         borrowed.forward(x)));
     }
     // Past 24 bits a float holds only some levels, and the top level
-    // rounds up to 2^(qbits-1): the writer still finds a level for every
-    // dequantizeLevel value, stored as int32, and the table decodes back
-    // to the model's codewords bit for bit.
+    // rounds up to 2^(qbits-1): both writers still find the level of
+    // every dequantizeLevel value (the image stores it as int32), and the
+    // image's table and the `.mvq` decode give back the model's codewords
+    // bit for bit, the top level included.
     for (const int qbits : {24, 26, 32}) {
         SCOPED_TRACE("qbits " + std::to_string(qbits));
         CompressedModel m = makeGoldenModel();
@@ -443,6 +463,9 @@ TEST(MvqiCodebookLevels, RoundTripBitExactAtEveryWidth)
                                        (half / 3) | 1, 0};
         for (std::int64_t i = 0; i < cb.codewords.numel(); ++i)
             cb.codewords[i] = dequantizeLevel(levels[i % 6], cb.scale);
+        EXPECT_TRUE(tensorsBitIdentical(
+            cb.codewords,
+            deserializeModel(serializeModel(m)).codebooks[0].codewords));
         io::saveArtifact(m, path, io::ArtifactFormat::Mvqi);
         const auto art = io::openArtifact(path);
         EXPECT_EQ(io::mvqiSectionBytes(art->view()).codebooks,

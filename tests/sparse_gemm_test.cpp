@@ -1,9 +1,10 @@
 /**
  * @file
- * Sparse-aware GEMM coverage: the compressed-row operand vs the dense
- * kernels on N:M-masked matrices for every ISA this host can execute,
- * thread-count determinism within an ISA, the mask-code -> CSR pack on
- * CompressedLayer, the CompressedConv2d forward against the densify +
+ * Sparse-aware GEMM coverage: the tile-free grouped operand (pure
+ * compressed rows) vs the dense kernels and the reference on N:M-masked
+ * matrices for every ISA this host can execute, on both sides of the
+ * small-problem crossover and across KC blocks, thread-count determinism
+ * within an ISA, the CompressedConv2d forward against the densify +
  * dense-forward path, and the ConvGeom non-positive-output guards.
  */
 
@@ -59,6 +60,17 @@ masked416Matrix(std::uint64_t seed, std::int64_t rows, std::int64_t cols)
     return core::randomNmMatrix(rng, rows, cols, core::NmPattern{4, 16});
 }
 
+/** The tile-free grouped operand over `sp`: min_cols past any bucket
+ *  leaves every entry in the remainder, so the gemm runs its single-row
+ *  kernel only. */
+GroupedSparseMatrix
+tileFree(const SparseRowMatrix &sp)
+{
+    GroupedSparseMatrix g = groupSparseRows(sp, 16, 1 << 20);
+    EXPECT_TRUE(g.tiles.empty());
+    return g;
+}
+
 void
 expectClose(const Tensor &ref, const Tensor &got, const char *what)
 {
@@ -97,6 +109,7 @@ TEST(SparseGemm, MatchesDenseGemmAllIsas)
     const std::int64_t m = 64, k = 288, n = 100;
     Tensor a = masked416Matrix(7, m, k);
     const SparseRowMatrix sp = sparsifyRows(a);
+    const GroupedSparseMatrix g = tileFree(sp);
     ASSERT_GT(sp.nnz() * n, kGemmScalarFallbackMacs); // packed path runs
     Rng rng(8);
     Tensor b(Shape({k, n}));
@@ -110,7 +123,7 @@ TEST(SparseGemm, MatchesDenseGemmAllIsas)
         Tensor c_dense(Shape({m, n}));
         gemm(a, false, b, false, c_dense);
         Tensor c_sparse(Shape({m, n}));
-        gemmSparseA(sp, b, c_sparse);
+        gemmSparseA(g, b, c_sparse);
         expectClose(c_dense, c_sparse, simd::isaName(isa));
         expectClose(c_oracle, c_sparse, simd::isaName(isa));
     }
@@ -122,6 +135,7 @@ TEST(SparseGemm, AlphaBetaMatchReference)
     const std::int64_t m = 48, k = 160, n = 64;
     Tensor a = masked416Matrix(21, m, k);
     const SparseRowMatrix sp = sparsifyRows(a);
+    const GroupedSparseMatrix g = tileFree(sp);
     Rng rng(22);
     Tensor b(Shape({k, n}));
     b.fillNormal(rng, 0.0f, 1.0f);
@@ -133,7 +147,7 @@ TEST(SparseGemm, AlphaBetaMatchReference)
         Tensor c_ref = c0;
         gemmSparseAReference(sp, b, c_ref, 0.5f, 1.0f);
         Tensor c_got = c0;
-        gemmSparseA(sp, b, c_got, 0.5f, 1.0f);
+        gemmSparseA(g, b, c_got, 0.5f, 1.0f);
         expectClose(c_ref, c_got, simd::isaName(isa));
     }
 }
@@ -152,7 +166,7 @@ TEST(SparseGemm, SmallProblemRowScanPath)
     Tensor c_ref(Shape({m, n}));
     gemmSparseAReference(sp, b, c_ref);
     Tensor c_got(Shape({m, n}));
-    gemmSparseA(sp, b, c_got);
+    gemmSparseA(tileFree(sp), b, c_got);
     EXPECT_EQ(0, std::memcmp(c_ref.data(), c_got.data(),
                              static_cast<std::size_t>(m * n)
                                  * sizeof(float)));
@@ -168,7 +182,7 @@ TEST(SparseGemm, EmptyRowsProduceZeroRows)
         a.at(3, j) = 0.0f;
         a.at(39, j) = 0.0f;
     }
-    const SparseRowMatrix sp = sparsifyRows(a);
+    const GroupedSparseMatrix g = tileFree(sparsifyRows(a));
     Rng rng(42);
     Tensor b(Shape({k, n}));
     b.fillNormal(rng, 0.0f, 1.0f);
@@ -176,7 +190,7 @@ TEST(SparseGemm, EmptyRowsProduceZeroRows)
     for (Isa isa : availableIsas()) {
         ASSERT_TRUE(simd::setIsa(isa));
         Tensor c(Shape({m, n}), 7.0f); // beta = 0 must clear stale values
-        gemmSparseA(sp, b, c);
+        gemmSparseA(g, b, c);
         for (std::int64_t j = 0; j < n; ++j) {
             EXPECT_EQ(c.at(3, j), 0.0f);
             EXPECT_EQ(c.at(39, j), 0.0f);
@@ -237,9 +251,11 @@ TEST(SparseGemm, MalformedOperandPanics)
 {
     // The driver binary-searches each row's columns, the micro-kernels
     // index packed B rows with them and decode values through the table,
-    // so a malformed operand must panic up front instead of reading out
-    // of bounds.
-    SparseRowMatrix sp;
+    // so a malformed (hand-built, unvalidated) operand must panic up
+    // front instead of reading out of bounds.
+    GroupedSparseMatrix g;
+    g.rows = {2, 8, 3};
+    SparseRowMatrix &sp = g.remainder;
     sp.rows = 2;
     sp.cols = 8;
     sp.row_ptr = {0, 2, 3};
@@ -248,69 +264,71 @@ TEST(SparseGemm, MalformedOperandPanics)
     sp.values = {1.0f, 2.0f, 3.0f};
     Tensor b(Shape({8, 4}));
     Tensor c(Shape({2, 4}));
-    EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
+    EXPECT_THROW(gemmSparseA(g, b, c), PanicError);
 
     // Column 9 out of range [0, 8).
     sp.col_idx = {packEntry(1, 0), packEntry(9, 1), packEntry(0, 2)};
-    EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
+    EXPECT_THROW(gemmSparseA(g, b, c), PanicError);
 
     // Table index 3 out of range [0, 3).
     sp.col_idx = {packEntry(1, 0), packEntry(3, 3), packEntry(0, 2)};
-    EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
+    EXPECT_THROW(gemmSparseA(g, b, c), PanicError);
 
     sp.col_idx = {packEntry(1, 0), packEntry(3, 1), packEntry(0, 2)};
-    EXPECT_NO_THROW(gemmSparseA(sp, b, c));
+    EXPECT_NO_THROW(gemmSparseA(g, b, c));
     sp.row_ptr = {0, 3, 2}; // non-monotone row_ptr
-    EXPECT_THROW(gemmSparseA(sp, b, c), PanicError);
+    EXPECT_THROW(gemmSparseA(g, b, c), PanicError);
+}
+
+/** Tile-free gemm of `a` (B from `seed`, n columns) at 1 vs 4 threads:
+ *  bit-identical per ISA, and within 1e-4 of the reference. */
+void
+expectTileFreeDeterministic(const Tensor &a, std::int64_t n,
+                            std::uint64_t seed)
+{
+    const std::int64_t m = a.dim(0);
+    const SparseRowMatrix sp = sparsifyRows(a);
+    const GroupedSparseMatrix g = tileFree(sp);
+    Rng rng(seed);
+    Tensor b(Shape({a.dim(1), n}));
+    b.fillNormal(rng, 0.0f, 1.0f);
+    Tensor c_ref(Shape({m, n}));
+    gemmSparseAReference(sp, b, c_ref);
+
+    for (Isa isa : availableIsas()) {
+        ASSERT_TRUE(simd::setIsa(isa));
+        setNumThreads(1);
+        Tensor c1(Shape({m, n}));
+        gemmSparseA(g, b, c1);
+        setNumThreads(4);
+        Tensor c4(Shape({m, n}));
+        gemmSparseA(g, b, c4);
+        EXPECT_EQ(0, std::memcmp(c1.data(), c4.data(),
+                                 static_cast<std::size_t>(m * n)
+                                     * sizeof(float)))
+            << simd::isaName(isa);
+        expectClose(c_ref, c1, simd::isaName(isa));
+    }
 }
 
 TEST(SparseGemm, ThreadCountDeterministicPerIsa)
 {
     IsaGuard guard;
     ThreadGuard tguard;
-    const std::int64_t m = 96, k = 320, n = 80;
-    Tensor a = masked416Matrix(51, m, k);
-    const SparseRowMatrix sp = sparsifyRows(a);
-    Rng rng(52);
-    Tensor b(Shape({k, n}));
-    b.fillNormal(rng, 0.0f, 1.0f);
-
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        setNumThreads(1);
-        Tensor c1(Shape({m, n}));
-        gemmSparseA(sp, b, c1);
-        setNumThreads(4);
-        Tensor c4(Shape({m, n}));
-        gemmSparseA(sp, b, c4);
-        EXPECT_EQ(0, std::memcmp(c1.data(), c4.data(),
-                                 static_cast<std::size_t>(m * n)
-                                     * sizeof(float)))
-            << simd::isaName(isa);
-    }
+    expectTileFreeDeterministic(masked416Matrix(51, 96, 320), 80, 52);
 }
 
-TEST(SparseGemm, PackSparseRowsMatchesReconstruct)
+TEST(SparseGemm, TileFreeDeepKStraddlesKcBlocks)
 {
-    ClusteredFixture f(Shape({32, 4, 3, 3}));
-    const SparseRowMatrix sp = f.layer.packSparseRows(f.cb);
-    EXPECT_EQ(sp.rows, 32);
-    EXPECT_EQ(sp.cols, 4 * 3 * 3);
-    // 4:16 keeps exactly a quarter of the positions, including any kept
-    // position whose codeword value happens to be zero.
-    EXPECT_EQ(sp.nnz(), f.shape.numel() / 4);
-
-    // Densifying the operand reproduces the reconstructed kernel exactly.
-    const Tensor w = f.layer.reconstruct(f.cb);
-    Tensor dense(Shape({sp.rows, sp.cols}));
-    for (std::int64_t i = 0; i < sp.rows; ++i) {
-        for (std::int64_t e = sp.row_ptr[static_cast<std::size_t>(i)];
-             e < sp.row_ptr[static_cast<std::size_t>(i + 1)]; ++e) {
-            dense.at(i, sp.column(e)) = sp.value(e);
-        }
-    }
-    EXPECT_FLOAT_EQ(
-        maxAbsDiff(dense, w.reshaped(Shape({sp.rows, sp.cols}))), 0.0f);
+    IsaGuard guard;
+    ThreadGuard tguard;
+    // K = 2304 spans nine kGemmKC blocks: a tile-free operand keeps the
+    // dense K blocking, so every row's entries are sliced per block.
+    const std::int64_t k = 2304;
+    ASSERT_GT(k, simd::kGemmKC);
+    const Tensor a = masked416Matrix(55, 32, k);
+    ASSERT_GT(sparsifyRows(a).nnz() * 64, kGemmScalarFallbackMacs);
+    expectTileFreeDeterministic(a, 64, 56);
 }
 
 TEST(CompressedConv2d, MatchesDensifiedForwardAllIsas)

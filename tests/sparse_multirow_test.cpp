@@ -1,13 +1,13 @@
 /**
  * @file
  * Multi-row sparse micro-kernel coverage: the groupSparseRows bucketing
- * (tiles + remainder partition, adversarial bucket shapes), the grouped
- * gemm entry points vs gemmSparseAReference and — bit-for-bit — vs the
- * single-row path wherever the contract promises identity (no tiles), the
- * per-ISA multi-row kernels against the scalar table, thread-count
- * determinism (also below the scalar crossover, where tiled operands
- * still take the grouped driver), and the packGroupedRows conv path
- * (single-row im2col composition, grouped + strided).
+ * (tiles + remainder partition, adversarial bucket shapes), the gemm
+ * entry points on tiled operands vs gemmSparseAReference and vs the
+ * tile-free (single-row) operand, the per-ISA multi-row kernels against
+ * the scalar table, thread-count determinism (also below the scalar
+ * crossover, where tiled operands still take the blocked driver), and
+ * the packGroupedRows operands (densified vs the reconstructed kernel)
+ * and conv path (single-row im2col composition, grouped + strided).
  */
 
 #include <gtest/gtest.h>
@@ -290,6 +290,7 @@ TEST(SparseMultiRow, GroupedGemmMatchesReferenceAllIsas)
     Tensor a = blockPatternedMatrix(31, m, k);
     const SparseRowMatrix sp = sparsifyRows(a);
     const GroupedSparseMatrix g = groupSparseRows(sp, 16);
+    const GroupedSparseMatrix tile_free = groupSparseRows(sp, 16, 1 << 20);
     ASSERT_GT(g.tileNnz(), 0);
     ASSERT_GT(sp.nnz() * n, kGemmScalarFallbackMacs); // blocked path runs
     Rng rng(32);
@@ -305,7 +306,7 @@ TEST(SparseMultiRow, GroupedGemmMatchesReferenceAllIsas)
         gemmSparseA(g, b, c_grouped);
         expectClose(c_oracle, c_grouped, simd::isaName(isa));
         Tensor c_single(Shape({m, n}));
-        gemmSparseA(sp, b, c_single);
+        gemmSparseA(tile_free, b, c_single);
         expectClose(c_single, c_grouped, simd::isaName(isa));
     }
 }
@@ -354,31 +355,6 @@ TEST(SparseMultiRow, MixedTileAndRemainderMatchesReferenceAllIsas)
     ASSERT_LE(sparsifyRows(small).nnz() * kSmallTiledN,
               kGemmScalarFallbackMacs);
     expectGroupedMatchesReference(small, kSmallTiledN, 72);
-}
-
-TEST(SparseMultiRow, TileFreeOperandForwardsBitIdentically)
-{
-    IsaGuard guard;
-    // All patterns unique enough that nothing tiles (min_cols forced
-    // high): the grouped entry point must take the single-row path —
-    // same code, bit-identical.
-    const std::int64_t m = 64, k = 288, n = 100;
-    Tensor a = masked416Matrix(61, m, k);
-    const SparseRowMatrix sp = sparsifyRows(a);
-    const GroupedSparseMatrix g = groupSparseRows(sp, 16, 1 << 20);
-    ASSERT_TRUE(g.tiles.empty());
-    Rng rng(62);
-    Tensor b(Shape({k, n}));
-    b.fillNormal(rng, 0.0f, 1.0f);
-
-    for (Isa isa : availableIsas()) {
-        ASSERT_TRUE(simd::setIsa(isa));
-        Tensor c_single(Shape({m, n}));
-        gemmSparseA(sp, b, c_single);
-        Tensor c_grouped(Shape({m, n}));
-        gemmSparseA(g, b, c_grouped);
-        expectBitIdentical(c_single, c_grouped, simd::isaName(isa));
-    }
 }
 
 TEST(SparseMultiRow, AlphaBetaMatchReference)
@@ -475,53 +451,56 @@ TEST(SparseMultiRow, MalformedGroupedOperandPanics)
     EXPECT_THROW(gemmSparseA(g, b, c), PanicError);
 }
 
-TEST(SparseMultiRow, PackGroupedRowsMatchesPackSparseRows)
+/** A grouped operand's tiles + remainder written back into a dense
+ *  [rows, cols] matrix. */
+Tensor
+densified(const GroupedSparseMatrix &g)
+{
+    const SparseRowMatrix sp = mergedRows(g);
+    Tensor dense(Shape({sp.rows, sp.cols}));
+    for (std::int64_t i = 0; i < sp.rows; ++i)
+        for (std::int64_t e = sp.row_ptr[static_cast<std::size_t>(i)];
+             e < sp.row_ptr[static_cast<std::size_t>(i + 1)]; ++e)
+            dense.at(i, sp.column(e)) = sp.value(e);
+    return dense;
+}
+
+TEST(SparseMultiRow, PackGroupedRowsMatchesReconstruct)
 {
     ClusteredFixture f(Shape({32, 4, 3, 3}));
-    const SparseRowMatrix full = f.layer.packSparseRows(f.cb);
-    EXPECT_TRUE(full.validated);
+    const Tensor w = f.layer.reconstruct(f.cb).reshaped(Shape({32, 36}));
 
-    // Tiles + remainder, merged per row, are the full pack exactly.
     const auto grouped = f.layer.packGroupedRows(f.cb, 1);
     ASSERT_EQ(grouped.size(), 1u);
-    EXPECT_TRUE(grouped[0].validated);
-    EXPECT_EQ(grouped[0].rows.nnz(), full.nnz());
-    EXPECT_EQ(grouped[0].tileNnz() + grouped[0].remainder.nnz(),
-              full.nnz());
-    const SparseRowMatrix merged = mergedRows(grouped[0]);
-    EXPECT_EQ(merged.row_ptr, full.row_ptr);
-    EXPECT_EQ(merged.col_idx, full.col_idx);
+    const GroupedSparseMatrix &op = grouped[0];
+    EXPECT_TRUE(op.validated);
+    EXPECT_EQ(op.rows.rows, 32);
+    EXPECT_EQ(op.rows.cols, 4 * 3 * 3);
+    // 4:16 keeps exactly a quarter of the positions, including any kept
+    // position whose codeword value happens to be zero.
+    EXPECT_EQ(op.rows.nnz(), f.shape.numel() / 4);
+    EXPECT_EQ(op.tileNnz() + op.remainder.nnz(), op.rows.nnz());
     // The value table is the codebook itself (index = assignment*d+lane).
-    EXPECT_EQ(merged.values, full.values);
-    ASSERT_EQ(static_cast<std::int64_t>(full.values.size()),
+    ASSERT_EQ(static_cast<std::int64_t>(op.table().size()),
               f.cb.codewords.numel());
-    EXPECT_EQ(0, std::memcmp(full.values.data(), f.cb.codewords.data(),
-                             full.values.size() * sizeof(float)));
+    EXPECT_EQ(0, std::memcmp(op.table().data(), f.cb.codewords.data(),
+                             op.table().size() * sizeof(float)));
+    // Densifying the operand reproduces the reconstructed kernel exactly.
+    expectBitIdentical(w, densified(op), "groups 1");
 
-    // Two conv groups: each grouped operand must hold exactly its row
-    // range of the full pack, with no re-slicing drift.
+    // Two conv groups: each operand densifies to exactly its row range of
+    // the kernel, and one table serves every group of the pack.
     const auto halves = f.layer.packGroupedRows(f.cb, 2);
     ASSERT_EQ(halves.size(), 2u);
-    // One table serves every group of the pack.
     EXPECT_EQ(halves[0].table().data(), halves[1].table().data());
-    std::int64_t total = 0;
     for (std::size_t h = 0; h < halves.size(); ++h) {
-        EXPECT_EQ(halves[h].rows.rows, 16);
-        EXPECT_EQ(halves[h].rows.cols, full.cols);
-        total += halves[h].rows.nnz();
-        const SparseRowMatrix part = mergedRows(halves[h]);
-        const std::int64_t e0 = full.row_ptr[16 * h];
-        for (std::size_t r = 0; r <= 16; ++r)
-            EXPECT_EQ(part.row_ptr[r], full.row_ptr[16 * h + r] - e0);
-        ASSERT_EQ(part.nnz(), full.row_ptr[16 * (h + 1)] - e0);
-        for (std::int64_t e = 0; e < part.nnz(); ++e) {
-            const std::size_t se = static_cast<std::size_t>(e);
-            const std::size_t fe = static_cast<std::size_t>(e0 + e);
-            EXPECT_EQ(part.col_idx[se], full.col_idx[fe]);
-            EXPECT_EQ(part.value(e), full.value(e0 + e));
-        }
+        ASSERT_EQ(halves[h].rows.rows, 16);
+        Tensor part(Shape({16, 36}));
+        std::memcpy(part.data(), w.data() + h * 16 * 36,
+                    16 * 36 * sizeof(float));
+        expectBitIdentical(part, densified(halves[h]), "groups 2");
     }
-    EXPECT_EQ(total, full.nnz());
+    EXPECT_EQ(halves[0].rows.nnz() + halves[1].rows.nnz(), op.rows.nnz());
 }
 
 TEST(SparseMultiRow, CompressedConvMatchesSingleRowComposition)
@@ -537,10 +516,13 @@ TEST(SparseMultiRow, CompressedConvMatchesSingleRowComposition)
     Tensor x(Shape({2, 8, 14, 14}));
     x.fillNormal(rng, 0.0f, 1.0f);
 
-    // Oracle: the single-row sparse gemm over the layer's full CSR pack
-    // (one conv group, so the group's row range is the whole pack),
-    // composed with a materialized im2col per batch item.
-    const SparseRowMatrix full = f.layer.packSparseRows(f.cb);
+    // Oracle: the single-row sparse gemm over the layer's kept entries,
+    // all in one tile-free operand (one conv group, so the group's row
+    // range is the whole pack), composed with a materialized im2col per
+    // batch item.
+    const GroupedSparseMatrix full =
+        groupSparseRows(mergedRows(conv.groupedOperand(0)), 16, 1 << 20);
+    ASSERT_TRUE(full.tiles.empty());
     const ConvGeom g{8, 14, 14, 3, 3, 1, 1};
     const std::int64_t ohw = g.outH() * g.outW();
     for (Isa isa : availableIsas()) {
